@@ -128,8 +128,7 @@ int RunShardScaling(const BenchFlags& flags, size_t max_shards) {
 
     coord::CoordServer::CoordOptions copts;
     copts.server.port = 0;
-    copts.num_threads = 2 * clients;
-    copts.coord.verify_shard_identity = false;  // ephemeral shard ports
+    copts.verify_shard_identity = false;  // ephemeral shard ports
     coord::CoordServer coordinator(std::move(*map), copts);
     if (Status st = coordinator.Start(); !st.ok()) {
       std::fprintf(stderr, "coord: %s\n", st.ToString().c_str());

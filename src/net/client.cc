@@ -3,13 +3,10 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -32,15 +29,6 @@ Status WriteAll(int fd, std::string_view data) {
     data.remove_prefix(static_cast<size_t>(n));
   }
   return Status::OK();
-}
-
-/// Unwraps a kError frame into the Status it carries, normalizing the
-/// ill-formed cases (undecodable body, carried OK) to non-OK errors.
-Status CarriedError(const Frame& frame) {
-  Status carried;
-  if (Status st = DecodeErrorBody(frame.body, &carried); !st.ok()) return st;
-  if (carried.ok()) return Status::Internal("server sent an OK error frame");
-  return carried;
 }
 
 }  // namespace
@@ -105,35 +93,12 @@ Result<uint64_t> Client::SendRequest(const WireQueryRequest& request) {
   return SendFrame(FrameType::kQueryRequest, std::move(body));
 }
 
-void Client::Forget(uint64_t id) {
-  const bool had_final = parked_.erase(id) > 0;
-  parked_parts_.erase(id);
-  // Only tombstone ids whose terminal frame is still owed; a request that
-  // already answered will never send another frame.
-  if (!had_final) forgotten_.insert(id);
-}
-
 Result<Frame> Client::WaitFrame(uint64_t id) {
-  if (id != 0) {
-    if (auto it = parked_.find(id); it != parked_.end()) {
-      Frame frame = std::move(it->second);
-      parked_.erase(it);
-      return frame;
-    }
-  } else if (!parked_.empty()) {
-    auto it = parked_.begin();
+  if (auto it = parked_.find(id); it != parked_.end()) {
     Frame frame = std::move(it->second);
     parked_.erase(it);
     return frame;
   }
-  const auto deadline =
-      wait_timeout_ms_ > 0.0
-          ? std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<
-                    std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(
-                        wait_timeout_ms_))
-          : std::chrono::steady_clock::time_point::max();
   char buf[64 * 1024];
   for (;;) {
     Frame frame;
@@ -152,8 +117,7 @@ Result<Frame> Client::WaitFrame(uint64_t id) {
       if (frame.type == FrameType::kMatchResponsePart) {
         // A streamed chunk, never a "final" frame: accumulate it for its
         // request (whether or not that is the id being waited on) and
-        // keep reading. Chunks of an abandoned request are dropped.
-        if (forgotten_.count(frame.request_id) > 0) continue;
+        // keep reading.
         if (Status st = DecodeMatchPartBody(
                 frame.body, &parked_parts_[frame.request_id]);
             !st.ok()) {
@@ -168,36 +132,9 @@ Result<Frame> Client::WaitFrame(uint64_t id) {
       if (frame.type == FrameType::kError) {
         parked_parts_.erase(frame.request_id);
       }
-      if (auto it = forgotten_.find(frame.request_id);
-          it != forgotten_.end()) {
-        // Terminal frame of an abandoned request: the tombstone retires.
-        forgotten_.erase(it);
-        parked_parts_.erase(frame.request_id);
-        continue;
-      }
-      if (frame.request_id == id || id == 0) return frame;
+      if (frame.request_id == id) return frame;
       parked_[frame.request_id] = std::move(frame);
       continue;
-    }
-    if (deadline != std::chrono::steady_clock::time_point::max()) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) {
-        return Status::DeadlineExceeded("no response within the wait"
-                                        " budget");
-      }
-      const int wait_ms = static_cast<int>(std::min<int64_t>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                now)
-                  .count() +
-              1,
-          1000));
-      struct pollfd pfd = {fd_, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, wait_ms);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        return Errno("poll");
-      }
-      if (ready == 0) continue;  // re-check the deadline
     }
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n == 0) return Status::IOError("server closed the connection");
@@ -209,50 +146,16 @@ Result<Frame> Client::WaitFrame(uint64_t id) {
   }
 }
 
-Result<QueryResponse> Client::AssembleResponse(Result<Frame> frame,
-                                               uint64_t id) {
-  // A failed wait consumes nothing: a DeadlineExceeded wait may be
-  // retried (or the id Forgotten), and either path owns the cleanup.
+Result<QueryResponse> Client::WaitResponse(uint64_t id) {
+  auto frame = WaitFrame(id);
   if (!frame.ok()) return frame.status();
-  // The final frame is here: consume the accumulated stream chunks. On
-  // the error paths below they are dropped (the server never streams
-  // before an error, so this is purely defensive).
+  // The final frame is here: consume the accumulated stream chunks.
   std::vector<MatchResult> parts;
   if (auto it = parked_parts_.find(id); it != parked_parts_.end()) {
     parts = std::move(it->second);
     parked_parts_.erase(it);
   }
-  if (frame->type == FrameType::kError) {
-    QueryResponse response;
-    response.status = CarriedError(*frame);
-    return response;
-  }
-  if (frame->type != FrameType::kQueryResponse) {
-    return Status::Corruption("unexpected frame type answering a query");
-  }
-  QueryResponse response;
-  KVMATCH_RETURN_NOT_OK(DecodeQueryResponseBody(frame->body, &response));
-  if (!parts.empty()) {
-    // Streamed: the final frame is matchless; the chunks, concatenated in
-    // arrival order, are the full offset-ordered match list.
-    parts.insert(parts.end(), response.matches.begin(),
-                 response.matches.end());
-    response.matches = std::move(parts);
-  }
-  return response;
-}
-
-Result<QueryResponse> Client::WaitResponse(uint64_t id) {
-  return AssembleResponse(WaitFrame(id), id);
-}
-
-Result<std::pair<uint64_t, QueryResponse>> Client::WaitAnyResponse() {
-  auto frame = WaitFrame(0);
-  if (!frame.ok()) return frame.status();
-  const uint64_t id = frame->request_id;
-  auto response = AssembleResponse(std::move(frame), id);
-  if (!response.ok()) return response.status();
-  return std::make_pair(id, std::move(response).value());
+  return DecodeQueryAnswer(*frame, std::move(parts));
 }
 
 Status Client::Cancel(uint64_t id) {
@@ -350,7 +253,11 @@ Result<FederatedResponse> Client::FederatedQuery(
     const WireQueryRequest& request) {
   auto id = SendRequest(request);
   if (!id.ok()) return id.status();
-  auto frame = WaitFrame(*id);
+  return WaitFederatedResponse(*id);
+}
+
+Result<FederatedResponse> Client::WaitFederatedResponse(uint64_t id) {
+  auto frame = WaitFrame(id);
   if (!frame.ok()) return frame.status();
   if (frame->type == FrameType::kError) {
     FederatedResponse response;

@@ -13,10 +13,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "net/protocol.h"
@@ -48,33 +46,10 @@ class Client {
   /// connection is unusable.
   Result<QueryResponse> WaitResponse(uint64_t id);
 
-  /// Blocks until the final frame of *any* in-flight query arrives and
-  /// returns (request id, reassembled response) — the demultiplexing
-  /// primitive for callers that pipeline many queries and want answers in
-  /// completion order (the coordinator's per-shard fan-out). Only valid
-  /// while queries are the sole outstanding request kind on this
-  /// connection; parked final frames are drained first, in id order.
-  Result<std::pair<uint64_t, QueryResponse>> WaitAnyResponse();
-
-  /// Bounds every blocking Wait* call entered after this: a wait that has
-  /// not completed within the budget returns DeadlineExceeded. Unlike
-  /// transport failures this leaves the connection usable — bytes already
-  /// buffered (even a partial frame) are kept and the wait can simply be
-  /// retried. 0 restores unbounded waits.
-  void set_wait_timeout_ms(double ms) { wait_timeout_ms_ = ms; }
-
-  /// Abandons an in-flight request: anything already parked for `id` is
-  /// dropped now, and frames for it that arrive later are discarded
-  /// instead of parked (the tombstone retires on the terminal frame, so
-  /// it cannot accumulate). Used after a timed-out wait, when the caller
-  /// stops caring about the answer but the server will still send it.
-  void Forget(uint64_t id);
-
   /// Observability for leak regression tests: parked final frames /
-  /// request ids with parked stream chunks / live tombstones.
+  /// request ids with parked stream chunks.
   size_t parked_frames() const { return parked_.size(); }
   size_t parked_part_ids() const { return parked_parts_.size(); }
-  size_t forgotten_ids() const { return forgotten_.size(); }
 
   /// Requests cancellation of the in-flight query `id` (fire-and-forget:
   /// no ack frame). The query's own response then arrives as Cancelled —
@@ -112,6 +87,9 @@ class Client {
   /// Pattern query through a coordinator: sends `request` (whose series
   /// may be a '*'/'?' glob) and waits for the kFederatedResponse.
   Result<FederatedResponse> FederatedQuery(const WireQueryRequest& request);
+  /// Waits for the kFederatedResponse answering pattern query `id` (sent
+  /// with SendRequest, e.g. to Cancel it meanwhile).
+  Result<FederatedResponse> WaitFederatedResponse(uint64_t id);
 
   Status Ping();
 
@@ -120,18 +98,13 @@ class Client {
 
   Result<uint64_t> SendFrame(FrameType type, std::string body);
   /// Reads frames until the one answering `id` shows up; parks others.
-  /// With id == 0, returns the next final frame for any request instead.
   Result<Frame> WaitFrame(uint64_t id);
-  /// Turns a final frame into the QueryResponse it carries, folding in
-  /// the stream chunks accumulated for `id`.
-  Result<QueryResponse> AssembleResponse(Result<Frame> frame, uint64_t id);
   /// CREATE/APPEND round-trip body shared by the ingest methods.
   Result<IngestAck> IngestRoundTrip(FrameType type, const std::string& name,
                                     std::span<const double> values);
 
   int fd_;
   uint64_t next_id_ = 1;
-  double wait_timeout_ms_ = 0.0;
   FrameDecoder decoder_;
   std::map<uint64_t, Frame> parked_;
   /// Streamed match chunks accumulated per request id until the final
@@ -139,9 +112,6 @@ class Client {
   /// never carries matches, so its chunks are dropped on arrival rather
   /// than parked until a WaitResponse that may never come).
   std::map<uint64_t, std::vector<MatchResult>> parked_parts_;
-  /// Requests abandoned via Forget(): frames for these ids are discarded
-  /// on arrival; an id retires when its terminal frame is seen.
-  std::set<uint64_t> forgotten_;
 };
 
 }  // namespace net

@@ -631,6 +631,35 @@ Status DecodeFederatedResponseBody(std::string_view body,
   return Status::OK();
 }
 
+Status CarriedError(const Frame& frame) {
+  Status carried;
+  if (Status st = DecodeErrorBody(frame.body, &carried); !st.ok()) return st;
+  if (carried.ok()) return Status::Internal("server sent an OK error frame");
+  return carried;
+}
+
+Result<QueryResponse> DecodeQueryAnswer(const Frame& final_frame,
+                                        std::vector<MatchResult> parts) {
+  QueryResponse response;
+  if (final_frame.type == FrameType::kError) {
+    // Terminal errors never carry matches: any parts are dropped.
+    response.status = CarriedError(final_frame);
+    return response;
+  }
+  if (final_frame.type != FrameType::kQueryResponse) {
+    return Status::Corruption("unexpected frame type answering a query");
+  }
+  KVMATCH_RETURN_NOT_OK(DecodeQueryResponseBody(final_frame.body, &response));
+  if (!parts.empty()) {
+    // Streamed: the final frame is matchless; the parts, concatenated in
+    // arrival order, are the full offset-ordered match list.
+    parts.insert(parts.end(), response.matches.begin(),
+                 response.matches.end());
+    response.matches = std::move(parts);
+  }
+  return response;
+}
+
 // ---- Deadline budgets ----
 
 double RemainingBudgetMs(double timeout_ms,

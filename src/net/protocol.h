@@ -269,6 +269,18 @@ void EncodeFederatedResponseBody(const FederatedResponse& response,
 Status DecodeFederatedResponseBody(std::string_view body,
                                    FederatedResponse* out);
 
+/// The Status a kError frame carries, with the ill-formed cases
+/// (undecodable body, carried OK) normalized to non-OK errors.
+Status CarriedError(const Frame& frame);
+
+/// The QueryResponse a query's final frame (kQueryResponse or kError)
+/// answers with, `parts` — the matches of the kMatchResponsePart frames
+/// that preceded it — in front. A kError answer is an OK Result whose
+/// response.status is the carried Status; a malformed or non-query frame
+/// is a non-OK Result.
+Result<QueryResponse> DecodeQueryAnswer(const Frame& final_frame,
+                                        std::vector<MatchResult> parts);
+
 /// The deadline a request should carry on its next hop: the budget it
 /// arrived with minus the time already burned at this hop. Wire deadlines
 /// are relative budgets, not absolute instants — each forwarder must

@@ -95,6 +95,23 @@ Status Errno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
 }
 
+/// The IPv4 address `host` resolves to, with `port`.
+Result<sockaddr_in> ResolveIPv4(const std::string& host, int port) {
+  struct addrinfo hints = {};
+  hints.ai_family = AF_INET;
+  hints.ai_socktype = SOCK_STREAM;
+  struct addrinfo* resolved = nullptr;
+  if (::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints,
+                    &resolved) != 0 ||
+      resolved == nullptr) {
+    return Status::InvalidArgument("cannot resolve " + host);
+  }
+  sockaddr_in addr = {};
+  std::memcpy(&addr, resolved->ai_addr, sizeof(addr));
+  ::freeaddrinfo(resolved);
+  return addr;
+}
+
 Status SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -122,33 +139,19 @@ Server::~Server() { Stop(); }
 Status Server::Start() {
   if (started_) return Status::InvalidArgument("server already started");
 
-  struct addrinfo hints = {};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  hints.ai_flags = AI_PASSIVE;
-  struct addrinfo* resolved = nullptr;
-  const std::string port_str = std::to_string(options_.port);
-  if (::getaddrinfo(options_.bind_address.c_str(), port_str.c_str(), &hints,
-                    &resolved) != 0 ||
-      resolved == nullptr) {
-    return Status::InvalidArgument("cannot resolve bind address " +
-                                   options_.bind_address);
-  }
-
-  listen_fd_ = ::socket(resolved->ai_family, resolved->ai_socktype, 0);
-  if (listen_fd_ < 0) {
-    ::freeaddrinfo(resolved);
-    return Errno("socket");
-  }
+  const auto addr = ResolveIPv4(options_.bind_address, options_.port);
+  if (!addr.ok()) return addr.status();
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (listen_fd_ < 0) return Errno("socket");
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(listen_fd_, resolved->ai_addr, resolved->ai_addrlen) < 0) {
-    ::freeaddrinfo(resolved);
+  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr.value()),
+             sizeof(sockaddr_in)) < 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
-    return Errno("bind " + options_.bind_address + ":" + port_str);
+    return Errno("bind " + options_.bind_address + ":" +
+                 std::to_string(options_.port));
   }
-  ::freeaddrinfo(resolved);
   // A deep backlog: a C10k connect storm arrives faster than one loop
   // iteration can accept, and the overflow must queue, not get RST.
   if (::listen(listen_fd_, 1024) < 0) {
@@ -227,7 +230,7 @@ void Server::Stop() {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     while (total_pending_.load(std::memory_order_acquire) > 0) {
-      CancelAllInFlight();
+      loop_->Post([this] { CancelAllInFlight(); });
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
   } else {
@@ -252,6 +255,11 @@ void Server::Stop() {
   // Courtesy refusals the loop did not finish flushing: just close them.
   for (auto& [token, refusal] : refusals_) ::close(refusal->fd);
   refusals_.clear();
+  // Outbound links outlive every client request that could use them.
+  while (!outbound_.empty()) {
+    const auto conn = *outbound_.begin();
+    CloseConnection(conn);
+  }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -298,18 +306,27 @@ void Server::EnterDrain() {
 }
 
 void Server::CancelAllInFlight() {
-  std::vector<std::shared_ptr<CancelToken>> tokens;
+  std::vector<std::shared_ptr<Connection>> conns;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const auto& [id, conn] : conns_) {
-      std::lock_guard<std::mutex> conn_lock(conn->mu);
-      for (const auto& [rid, token] : conn->inflight) {
-        tokens.push_back(token);
-      }
-    }
+    for (const auto& [id, conn] : conns_) conns.push_back(conn);
   }
-  for (auto& token : tokens) token->Cancel();
+  for (const auto& conn : conns) {
+    std::map<uint64_t, std::shared_ptr<CancelToken>> inflight;
+    {
+      std::lock_guard<std::mutex> lock(conn->mu);
+      inflight = conn->inflight;
+    }
+    for (auto& [id, token] : inflight) CancelRequest(conn, id, *token);
+  }
 }
+
+void Server::CancelRequest(const std::shared_ptr<Connection>&, uint64_t,
+                           CancelToken& token) {
+  token.Cancel();
+}
+
+void Server::OnLoopTick(std::chrono::steady_clock::time_point) {}
 
 size_t Server::ActiveConnections() const {
   std::lock_guard<std::mutex> lock(conns_mu_);
@@ -465,6 +482,44 @@ void Server::FlushRefusal(const std::shared_ptr<Refusal>& refusal) {
   refusals_.erase(refusal->token);
 }
 
+Result<std::shared_ptr<Server::Connection>> Server::Dial(
+    const std::string& host, int port, std::function<void(Frame)> on_frame,
+    std::function<void(const Status&)> on_close) {
+  const auto addr = ResolveIPv4(host, port);
+  if (!addr.ok()) return addr.status();
+  // Nonblocking connect. Until it completes, recv and sendmsg answer
+  // EAGAIN, so the ordinary read and flush paths simply wait for it (the
+  // queued frames leave on the EPOLLOUT that signals the connection),
+  // and a refused connect surfaces as the recv error.
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) return Errno("socket");
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr.value()),
+                sizeof(sockaddr_in)) < 0 &&
+      errno != EINPROGRESS) {
+    const Status st = Errno("connect " + host + ":" + std::to_string(port));
+    ::close(fd);
+    return st;
+  }
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  auto conn = std::make_shared<Connection>();
+  conn->fd = fd;
+  conn->opened = std::chrono::steady_clock::now();
+  conn->sniffed = true;
+  conn->on_frame = std::move(on_frame);
+  conn->on_close = std::move(on_close);
+  conn->token = loop_->Add(
+      fd, EPOLLIN,
+      [this, conn](uint32_t events) { OnConnectionEvent(conn, events); });
+  if (conn->token == 0) {
+    ::close(fd);
+    return Status::IOError("cannot register outbound socket with epoll");
+  }
+  outbound_.insert(conn);
+  return conn;
+}
+
 // ----------------------------------------------------------------- read
 
 void Server::OnConnectionEvent(const std::shared_ptr<Connection>& conn,
@@ -497,7 +552,7 @@ void Server::OnReadable(const std::shared_ptr<Connection>& conn) {
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      CloseConnection(conn);
+      CloseConnection(conn, Errno("recv"));
       return;
     }
     consumed += static_cast<size_t>(n);
@@ -529,8 +584,10 @@ void Server::OnReadable(const std::shared_ptr<Connection>& conn) {
     if (conn->busy || conn->input_done) break;
     // Backpressure: a slow reader with a deep pipeline has queued past
     // the cap — stop taking new requests until the outbox drains below
-    // half of it (FlushOutbox resumes).
-    if (options_.max_outbox_bytes > 0) {
+    // half of it (FlushOutbox resumes). An outbound connection only
+    // reads answers, which never add to its outbox; pausing them could
+    // deadlock against a peer that waits for us to read.
+    if (options_.max_outbox_bytes > 0 && !conn->on_frame) {
       bool over = false;
       {
         std::lock_guard<std::mutex> lock(conn->mu);
@@ -568,8 +625,18 @@ void Server::ProcessInput(const std::shared_ptr<Connection>& conn) {
     const FrameDecoder::Event event = conn->decoder.Next(&frame, &error);
     if (event == FrameDecoder::Event::kNeedMore) break;
     if (event == FrameDecoder::Event::kFrame) {
-      HandleFrame(conn, std::move(frame));
+      if (conn->on_frame) {
+        conn->on_frame(std::move(frame));
+      } else {
+        HandleFrame(conn, std::move(frame));
+      }
       continue;
+    }
+    if (conn->on_frame) {
+      // A peer's answer stream that fails its checks cannot be trusted.
+      CloseConnection(conn, Status::Corruption("response stream: " +
+                                               error.message()));
+      return;
     }
     // kBadFrame / kFatal: answer with a typed error; the request id is
     // unrecoverable from a corrupt payload, so 0 means "stream-level".
@@ -740,7 +807,7 @@ void Server::FlushOutbox(const std::shared_ptr<Connection>& conn) {
         UpdateInterest(conn);
         return;
       }
-      CloseConnection(conn);
+      CloseConnection(conn, Errno("send"));
       return;
     }
 
@@ -830,21 +897,20 @@ bool Server::ReadyToClose(const std::shared_ptr<Connection>& conn) {
   return conn->pending == 0 && conn->outbox.empty();
 }
 
-void Server::CloseConnection(const std::shared_ptr<Connection>& conn) {
+void Server::CloseConnection(const std::shared_ptr<Connection>& conn,
+                             const Status& why) {
   if (conn->dead) return;
   conn->dead = true;
   if (conn->token != 0) {
     loop_->Del(conn->token);
     conn->token = 0;
   }
-  std::vector<std::shared_ptr<CancelToken>> orphans;
+  std::map<uint64_t, std::shared_ptr<CancelToken>> orphans;
   size_t dropped = 0;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     conn->closed = true;
-    for (const auto& [rid, token] : conn->inflight) {
-      orphans.push_back(token);
-    }
+    orphans = conn->inflight;
     dropped = conn->outbox_bytes;
     conn->outbox.clear();
     conn->outbox_bytes = 0;
@@ -854,6 +920,11 @@ void Server::CloseConnection(const std::shared_ptr<Connection>& conn) {
     registry_->RecordNetOutboxBytes(-static_cast<int64_t>(dropped));
   }
   ::close(conn->fd);
+  if (conn->on_frame) {
+    outbound_.erase(conn);
+    conn->on_close(why);
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns_.erase(conn->id);
@@ -863,27 +934,37 @@ void Server::CloseConnection(const std::shared_ptr<Connection>& conn) {
   // receive their answers, their compute is pure waste, and — since a
   // closed connection is no longer reachable through CancelAllInFlight —
   // leaving them running would also unbound the Stop() drain.
-  for (auto& token : orphans) token->Cancel();
+  for (auto& [id, token] : orphans) CancelRequest(conn, id, *token);
+}
+
+void Server::Suspend(const std::shared_ptr<Connection>& conn) {
+  conn->busy = true;
+  UpdateInterest(conn);
+}
+
+void Server::Resume(const std::shared_ptr<Connection>& conn) {
+  // Always through the loop's queue, never inline: a handler resuming
+  // from inside a frame dispatch must not recurse into ProcessInput.
+  loop_->Post([this, conn] {
+    conn->busy = false;
+    if (conn->dead) return;
+    UpdateInterest(conn);
+    // Frames that arrived (or were already decoded) before the
+    // suspension resume in order.
+    ProcessInput(conn);
+    if (conn->dead) return;
+    if (conn->input_done && ReadyToClose(conn)) CloseConnection(conn);
+  });
 }
 
 void Server::RunBlocking(const std::shared_ptr<Connection>& conn,
                          std::function<void()> work) {
-  conn->busy = true;
-  UpdateInterest(conn);
+  Suspend(conn);
   {
     std::lock_guard<std::mutex> lock(blocking_mu_);
     blocking_queue_.push_back([this, conn, work = std::move(work)] {
       work();
-      loop_->Post([this, conn] {
-        conn->busy = false;
-        if (conn->dead) return;
-        UpdateInterest(conn);
-        // Frames that arrived (or were already decoded) before the
-        // suspension resume in order.
-        ProcessInput(conn);
-        if (conn->dead) return;
-        if (conn->input_done && ReadyToClose(conn)) CloseConnection(conn);
-      });
+      Resume(conn);
     });
   }
   blocking_cv_.notify_one();
@@ -916,6 +997,7 @@ void Server::OnTick() {
   last_tick_ = now;
 
   registry_->SetNetLoopCounters(loop_->iterations(), loop_->wakeups());
+  OnLoopTick(now);
 
   if (accept_paused_ && !draining_) {
     // fd-exhaustion backoff over: try accepting again.
@@ -1155,7 +1237,7 @@ void Server::HandleCancel(const std::shared_ptr<Connection>& conn,
       token = it->second;
     }
   }
-  if (token != nullptr) token->Cancel();
+  if (token != nullptr) CancelRequest(conn, id, *token);
 }
 
 bool Server::RegisterRequest(const std::shared_ptr<Connection>& conn,

@@ -10,12 +10,14 @@
 // the reactor decodes a kQueryRequest, submits it through
 // SubmitWithCallback, and the completion (running on a pool worker)
 // pushes the encoded response frames onto the connection's outbox and
-// prods the loop through an eventfd wakeup. Blocking request kinds
-// (catalog ingest, a coordinator's shard round-trips) are handed to one
-// helper thread via RunBlocking(), with that connection's frame
-// processing suspended until the work finishes — per-connection frame
-// order is exactly what a dedicated reader thread would have produced,
-// but every other connection keeps flowing.
+// prods the loop through an eventfd wakeup. Catalog ingest blocks, so it
+// is handed to one helper thread via RunBlocking(), with that
+// connection's frame processing suspended until the work finishes —
+// per-connection frame order is exactly what a dedicated reader thread
+// would have produced, but every other connection keeps flowing.
+// Subclasses may also Dial() outbound connections (a coordinator's shard
+// links): they share the same outbox, writev and FrameDecoder path, with
+// decoded frames handed to the dialer instead of the request handlers.
 //
 // Flow control: sockets are nonblocking; partial reads resume through
 // the incremental FrameDecoder and partial writes through a write cursor
@@ -61,6 +63,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -195,10 +198,15 @@ class Server {
     bool sniffed = false;    // first bytes classified HTTP vs frames
     bool http_mode = false;
     std::string http_buf;
-    /// A blocking op (ingest / federation round-trip) is in flight on the
-    /// helper thread: frame processing and reads are suspended so
-    /// per-connection order matches the old dedicated-reader semantics.
+    /// Suspend() ran (blocking ingest, a forwarded round trip): frame
+    /// processing and reads stop until Resume(), so this connection's
+    /// requests still run in the order they were sent.
     bool busy = false;
+    /// Outbound (Dial) connections only: every decoded frame goes to
+    /// on_frame instead of the request handlers, and on_close fires once
+    /// with the reason when the connection closes.
+    std::function<void(Frame)> on_frame;
+    std::function<void(const Status&)> on_close;
     bool reads_paused = false;  // EPOLLIN disarmed (backpressure/busy)
     bool want_write = false;    // EPOLLOUT armed (partial write pending)
     /// No more input will be processed (peer EOF, fatal framing error,
@@ -272,6 +280,39 @@ class Server {
   /// loop-thread-only state.
   void RunBlocking(const std::shared_ptr<Connection>& conn,
                    std::function<void()> work);
+  /// Stops processing this connection's frames (loop thread) until
+  /// Resume(), which may be called from any thread and picks up the
+  /// buffered frames in order on a later loop pass.
+  void Suspend(const std::shared_ptr<Connection>& conn);
+  void Resume(const std::shared_ptr<Connection>& conn);
+
+  /// Opens a nonblocking outbound connection to host:port on the loop.
+  /// Frames queued with EnqueueRaw() before the connect completes are
+  /// sent once it does; decoded frames go to `on_frame`; `on_close`
+  /// fires once, with the reason, when the connection closes for any
+  /// cause (refused connect, EOF, corrupt stream, CloseConnection). Loop
+  /// thread only. Outbound connections are not client connections:
+  /// they do not count against max_connections, the idle reaper and the
+  /// drain leave them open, and Stop() closes them last.
+  Result<std::shared_ptr<Connection>> Dial(
+      const std::string& host, int port,
+      std::function<void(Frame)> on_frame,
+      std::function<void(const Status&)> on_close);
+  /// Closes the fd, retires the connection, cancels its in-flight
+  /// queries and fires an outbound connection's on_close(why). Loop
+  /// thread only; idempotent.
+  void CloseConnection(const std::shared_ptr<Connection>& conn,
+                       const Status& why = Status::IOError(
+                           "connection closed"));
+
+  /// Fires the cancellation of in-flight request `id` on `conn` — for a
+  /// kCancel frame, a disconnect, or the Stop() drain watchdog. Loop
+  /// thread. The base fires `token`; a subclass that forwards requests
+  /// elsewhere also passes the cancel on.
+  virtual void CancelRequest(const std::shared_ptr<Connection>& conn,
+                             uint64_t id, CancelToken& token);
+  /// Periodic loop work for subclasses (timeouts), every tick.
+  virtual void OnLoopTick(std::chrono::steady_clock::time_point now);
 
   const Options& options() const { return options_; }
   StatsRegistry* registry() const { return registry_; }
@@ -299,9 +340,6 @@ class Server {
   /// Recomputes and applies the epoll interest mask from the
   /// paused/busy/input_done/want_write flags.
   void UpdateInterest(const std::shared_ptr<Connection>& conn);
-  /// Closes the fd, retires the connection from the table, cancels its
-  /// in-flight queries. Loop thread only; idempotent.
-  void CloseConnection(const std::shared_ptr<Connection>& conn);
   /// True when every response owed has been enqueued AND flushed and no
   /// blocking work is suspended on this connection.
   bool ReadyToClose(const std::shared_ptr<Connection>& conn);
@@ -315,10 +353,11 @@ class Server {
   void EnterDrain();
 
   void HandleFrame(const std::shared_ptr<Connection>& conn, Frame frame);
-  /// kCancel: fires the token of the in-flight query with this id on this
+  /// kCancel: cancels the in-flight query with this id on this
   /// connection (a no-op if it already completed — that race is inherent).
   void HandleCancel(const std::shared_ptr<Connection>& conn, uint64_t id);
   /// Cancels every in-flight query on every connection (drain watchdog).
+  /// Loop thread.
   void CancelAllInFlight();
 
   /// Answers one plain-HTTP request (`head` is everything up to the blank
@@ -378,6 +417,7 @@ class Server {
 
   /// Loop thread only (Stop() sweeps leftovers after the loop is joined).
   std::map<uint64_t, std::shared_ptr<Refusal>> refusals_;  // by loop token
+  std::set<std::shared_ptr<Connection>> outbound_;  // Dial()ed, still open
 
   mutable std::mutex conns_mu_;
   std::map<uint64_t, std::shared_ptr<Connection>> conns_;

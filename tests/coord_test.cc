@@ -4,26 +4,29 @@
 // for byte, order included) a single node holding every series. The
 // failure-path tests run against shards that were never started or are
 // killed mid-test — a dead shard must become a *typed* partial result,
-// never a hang.
+// never a hang. A scripted fake shard pins the reactor coordinator's
+// concurrency: sub-queries of concurrent requests share one pipelined
+// link per shard, admission is bounded, and the thread count is flat.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/cancel.h"
 #include "common/rng.h"
 #include "coord/coord_server.h"
-#include "coord/coordinator.h"
-#include "coord/shard_client.h"
 #include "coord/shard_map.h"
 #include "match/top_k.h"
 #include "net/client.h"
@@ -275,18 +278,12 @@ struct ClusterFixture {
     }
   }
 
-  Coordinator::Options CoordinatorOptions() const {
-    Coordinator::Options options;
-    // Ephemeral ports: the shards started before the map existed, so
-    // their identity cannot carry its fingerprint.
-    options.verify_shard_identity = false;
-    return options;
-  }
-
   CoordServer::CoordOptions CoordServerOptions() const {
     CoordServer::CoordOptions options;
     options.server.port = 0;
-    options.coord = CoordinatorOptions();
+    // Ephemeral ports: the shards started before the map existed, so
+    // their identity cannot carry its fingerprint.
+    options.verify_shard_identity = false;
     return options;
   }
 };
@@ -512,6 +509,36 @@ TEST(CoordFederationTest, PatternTraceAggregatesShardSpans) {
   }
   EXPECT_TRUE(merge_span);
   EXPECT_TRUE(namespaced);
+
+  // The timeline is causal: each shard's planning LIST ends before any of
+  // its sub-queries is queued, and every span of a shard lies inside that
+  // shard's round-trip span (slack only for float rounding).
+  const std::vector<TraceSpan> spans = fed->trace->spans();
+  std::map<std::string, TraceSpan> by_name;
+  for (const TraceSpan& span : spans) by_name[span.name] = span;
+  constexpr double kSlackMs = 1e-6;
+  size_t queue_spans = 0;
+  for (const TraceSpan& span : spans) {
+    const size_t slash = span.name.find('/');
+    if (span.name.rfind("shard", 0) != 0 || slash == std::string::npos) {
+      continue;
+    }
+    const std::string shard = span.name.substr(0, slash);
+    ASSERT_TRUE(by_name.count(shard) && by_name.count(shard + "/list"))
+        << span.name;
+    const TraceSpan& outer = by_name[shard];
+    EXPECT_GE(span.start_ms + kSlackMs, outer.start_ms) << span.name;
+    EXPECT_LE(span.start_ms + span.dur_ms,
+              outer.start_ms + outer.dur_ms + kSlackMs)
+        << span.name;
+    if (span.name.substr(span.name.rfind('/') + 1) == kSpanQueue) {
+      const TraceSpan& list = by_name[shard + "/list"];
+      EXPECT_LE(list.start_ms + list.dur_ms, span.start_ms + kSlackMs)
+          << span.name;
+      ++queue_spans;
+    }
+  }
+  EXPECT_EQ(queue_spans, kClusterSeries);
   coordinator.Stop();
 }
 
@@ -688,10 +715,13 @@ TEST(CoordFederationTest, DeadShardYieldsTypedPartialResults) {
   ASSERT_FALSE(live_names.empty());
   std::sort(live_names.begin(), live_names.end());
 
-  Coordinator::Options options;
+  CoordServer::CoordOptions options;
   options.verify_shard_identity = false;
-  options.client.call_timeout_ms = 2'000.0;
-  Coordinator coord(*map, options);
+  options.shard_timeout_ms = 2'000.0;
+  CoordServer coord(*map, options);
+  ASSERT_TRUE(coord.Start().ok());
+  auto client = net::Client::Connect("127.0.0.1", coord.port());
+  ASSERT_TRUE(client.ok());
 
   // Pattern: the live shards answer in full, the dead shard is a typed
   // per-shard error — partial, not failed, and never a hang.
@@ -701,7 +731,9 @@ TEST(CoordFederationTest, DeadShardYieldsTypedPartialResults) {
   wire.request.query = ExtractQuery(source, 100, 128, 0.1, &qrng);
   wire.request.params.type = QueryType::kRsmEd;
   wire.request.params.epsilon = 3.0;
-  net::FederatedResponse fed = coord.ExecutePattern(wire, nullptr);
+  auto answered = (*client)->FederatedQuery(wire);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  const net::FederatedResponse& fed = *answered;
   EXPECT_TRUE(fed.status.ok()) << fed.status.ToString();
   EXPECT_EQ(fed.shards_total, 3u);
   EXPECT_EQ(fed.shards_ok, 2u);
@@ -717,16 +749,25 @@ TEST(CoordFederationTest, DeadShardYieldsTypedPartialResults) {
   // Exact routing to the dead shard: typed error, fast.
   net::WireQueryRequest exact = wire;
   exact.request.series = dead_name;
-  const QueryResponse direct = coord.ExecuteExact(exact, nullptr);
-  EXPECT_FALSE(direct.status.ok());
+  auto direct = (*client)->Query(exact.request);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_FALSE(direct->status.ok());
+  coord.Stop();
 }
 
 TEST(CoordFederationTest, KilledShardBecomesTypedErrorWithDialBackoff) {
   ClusterFixture fx;
-  Coordinator::Options options = fx.CoordinatorOptions();
-  options.client.call_timeout_ms = 2'000.0;
-  options.client.backoff_initial_ms = 200.0;
-  Coordinator coord(*fx.map, options);
+  CoordServer::CoordOptions options = fx.CoordServerOptions();
+  options.shard_timeout_ms = 2'000.0;
+  options.backoff_initial_ms = 200.0;
+  CoordServer coord(*fx.map, options);
+  ASSERT_TRUE(coord.Start().ok());
+  auto client = net::Client::Connect("127.0.0.1", coord.port());
+  ASSERT_TRUE(client.ok());
+  auto status_of = [&client](const net::WireQueryRequest& wire) {
+    auto answer = (*client)->Query(wire.request);
+    return answer.ok() ? answer->status : answer.status();
+  };
 
   // f3 hashes to shard 0, f1 to shard 1 (pinned by Fnv1a64).
   ASSERT_EQ(fx.map->OwnerOf("f3"), 0u);
@@ -738,70 +779,444 @@ TEST(CoordFederationTest, KilledShardBecomesTypedErrorWithDialBackoff) {
   wire.request.query = ExtractQuery(fx.refs[3], 50, 128, 0.1, &rng);
   wire.request.params.type = QueryType::kRsmEd;
   wire.request.params.epsilon = 3.0;
-  EXPECT_TRUE(coord.ExecuteExact(wire, nullptr).status.ok());
-  EXPECT_TRUE(coord.shard(0)->connected());
+  EXPECT_TRUE(status_of(wire).ok());
+  EXPECT_TRUE(coord.shard_connected(0));
 
   // Kill shard 0 under an established connection.
   fx.nodes[0]->server->Stop();
-  const QueryResponse after = coord.ExecuteExact(wire, nullptr);
-  EXPECT_FALSE(after.status.ok());
-  EXPECT_FALSE(coord.shard(0)->connected());
+  const Status after = status_of(wire);
+  EXPECT_FALSE(after.ok());
+  EXPECT_FALSE(coord.shard_connected(0));
 
   // Redial fails (nobody listens), arming the backoff; the next attempt
   // inside the window fails FAST with the typed backoff status.
-  EXPECT_FALSE(coord.ExecuteExact(wire, nullptr).status.ok());
-  const QueryResponse backed_off = coord.ExecuteExact(wire, nullptr);
-  EXPECT_TRUE(backed_off.status.IsResourceExhausted())
-      << backed_off.status.ToString();
+  EXPECT_FALSE(status_of(wire).ok());
+  const Status backed_off = status_of(wire);
+  EXPECT_TRUE(backed_off.IsResourceExhausted()) << backed_off.ToString();
 
   // The other shards are untouched.
   net::WireQueryRequest other = wire;
   other.request.series = "f1";
   Rng rng2(912);
   other.request.query = ExtractQuery(fx.refs[1], 50, 128, 0.1, &rng2);
-  EXPECT_TRUE(coord.ExecuteExact(other, nullptr).status.ok());
+  EXPECT_TRUE(status_of(other).ok());
+  coord.Stop();
 }
 
-TEST(ShardClientTest, RefusesShardWithWrongIdentity) {
-  // A shard claiming (shard 1, fingerprint 0xABC).
-  MemKvStore store;
-  Catalog catalog(&store);
-  QueryService service(&catalog,
-                       QueryService::Options{.num_threads = 1,
-                                             .max_queue = 16});
-  net::Server::Options sopts;
-  sopts.port = 0;
-  sopts.shard_id = 1;
-  sopts.num_shards = 2;
-  sopts.shard_map_fingerprint = 0xABC;
-  net::Server server(&catalog, &service, sopts);
-  ASSERT_TRUE(server.Start().ok());
-  const ShardEndpoint endpoint{"127.0.0.1", server.port()};
+/// A scripted shard on a loopback port. It answers kShardInfo with a
+/// settable identity and LIST with a fixed directory, and withholds every
+/// query answer until `hold` queries are outstanding at once (or until
+/// Release()), then answers each held query with an empty result — so a
+/// test sees how many sub-queries a coordinator keeps in flight.
+class FakeShard {
+ public:
+  FakeShard(std::vector<std::string> series, size_t hold)
+      : series_(std::move(series)), hold_(hold) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(listen_fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(
+        ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+        0);
+    EXPECT_EQ(::listen(listen_fd_, 16), 0);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len),
+        0);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { Run(); });
+  }
+  ~FakeShard() {
+    stop_ = true;
+    thread_.join();
+    for (auto& peer : peers_) ::close(peer->fd);
+    ::close(listen_fd_);
+  }
 
-  ShardClient::Options wrong_map;
-  wrong_map.expect_fingerprint = 0xDEF;
-  wrong_map.expect_shard_id = 1;
-  ShardClient refused(endpoint, wrong_map);
-  Status st = refused.EnsureConnected();
-  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-  EXPECT_FALSE(refused.connected());
+  int port() const { return port_; }
+  void SetIdentity(uint32_t shard_id, uint64_t fingerprint) {
+    shard_id_ = shard_id;
+    fingerprint_ = fingerprint;
+  }
+  size_t held() const { return held_; }
+  /// From now on every query is answered, the held ones first.
+  void Release() { release_ = true; }
+
+ private:
+  struct Peer {
+    int fd = -1;
+    net::FrameDecoder decoder;
+    std::vector<uint64_t> held;
+  };
+
+  static void Send(int fd, net::FrameType type, uint64_t id,
+                   std::string body) {
+    net::Frame frame;
+    frame.type = type;
+    frame.request_id = id;
+    frame.body = std::move(body);
+    std::string wire;
+    net::EncodeFrame(frame, &wire);
+    std::string_view data = wire;
+    while (!data.empty()) {
+      const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
+      if (n <= 0) return;
+      data.remove_prefix(static_cast<size_t>(n));
+    }
+  }
+
+  void Serve(Peer& peer) {
+    char buf[4096];
+    const ssize_t n = ::recv(peer.fd, buf, sizeof(buf), 0);
+    if (n <= 0) {
+      held_ -= peer.held.size();
+      ::close(peer.fd);
+      peer.fd = -1;
+      return;
+    }
+    peer.decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
+    net::Frame frame;
+    Status error;
+    while (peer.decoder.Next(&frame, &error) ==
+           net::FrameDecoder::Event::kFrame) {
+      std::string body;
+      if (frame.type == net::FrameType::kShardInfoRequest) {
+        net::ShardInfo info;
+        info.shard_id = shard_id_;
+        info.map_fingerprint = fingerprint_;
+        net::EncodeShardInfoBody(info, &body);
+        Send(peer.fd, net::FrameType::kShardInfoResponse, frame.request_id,
+             std::move(body));
+      } else if (frame.type == net::FrameType::kListRequest) {
+        std::vector<net::SeriesInfo> listing;
+        for (const auto& name : series_) {
+          listing.push_back(net::SeriesInfo{name, 1000});
+        }
+        net::EncodeListResponseBody(listing, &body);
+        Send(peer.fd, net::FrameType::kListResponse, frame.request_id,
+             std::move(body));
+      } else if (frame.type == net::FrameType::kQueryRequest) {
+        peer.held.push_back(frame.request_id);
+        ++held_;
+      }
+    }
+  }
+
+  void Run() {
+    while (!stop_) {
+      std::vector<pollfd> fds = {{listen_fd_, POLLIN, 0}};
+      for (auto& peer : peers_) fds.push_back({peer->fd, POLLIN, 0});
+      if (::poll(fds.data(), fds.size(), 10) < 0) continue;
+      if (fds[0].revents & POLLIN) {
+        auto peer = std::make_unique<Peer>();
+        peer->fd = ::accept(listen_fd_, nullptr, nullptr);
+        if (peer->fd >= 0) peers_.push_back(std::move(peer));
+      }
+      for (size_t i = 1; i < fds.size(); ++i) {
+        if (fds[i].revents != 0) Serve(*peers_[i - 1]);
+      }
+      std::erase_if(peers_, [](const auto& peer) { return peer->fd < 0; });
+      if (held_ == 0 || (held_ < hold_ && !release_)) continue;
+      std::string body;
+      net::EncodeQueryResponseBody(QueryResponse(), &body);
+      for (auto& peer : peers_) {
+        for (uint64_t id : peer->held) {
+          Send(peer->fd, net::FrameType::kQueryResponse, id, body);
+        }
+        peer->held.clear();
+      }
+      held_ = 0;
+    }
+  }
+
+  const std::vector<std::string> series_;
+  const size_t hold_;
+  int listen_fd_ = -1;
+  int port_ = 0;
+  std::atomic<uint32_t> shard_id_{net::kStandaloneShardId};
+  std::atomic<uint64_t> fingerprint_{0};
+  std::atomic<size_t> held_{0};
+  std::atomic<bool> release_{false};
+  std::atomic<bool> stop_{false};
+  std::vector<std::unique_ptr<Peer>> peers_;  // fake's thread only
+  std::thread thread_;
+};
+
+/// Polls `done` for up to five seconds.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+/// A single-shard map whose one shard is `fake`.
+ShardMap FakeShardMap(const FakeShard& fake) {
+  auto map = ShardMap::FromEndpoints({{"127.0.0.1", fake.port()}});
+  EXPECT_TRUE(map.ok());
+  return *map;
+}
+
+net::WireQueryRequest SmallQuery(const std::string& series) {
+  net::WireQueryRequest wire;
+  wire.request.series = series;
+  wire.request.query = {1.0, 2.0, 3.0, 4.0};
+  wire.request.params.type = QueryType::kRsmEd;
+  wire.request.params.epsilon = 1.0;
+  return wire;
+}
+
+TEST(CoordFederationTest, RefusesShardWithWrongIdentity) {
+  // The fake answers as shard 1; what varies is the fingerprint it claims
+  // and where the coordinator's map places it.
+  FakeShard fake({}, /*hold=*/0);
+  const ShardEndpoint closed{"127.0.0.1", ReserveClosedPort()};
+  const ShardEndpoint endpoint{"127.0.0.1", fake.port()};
+  auto as_shard1 = ShardMap::FromEndpoints({closed, endpoint});
+  auto as_shard0 = ShardMap::FromEndpoints({endpoint, closed});
+  ASSERT_TRUE(as_shard1.ok() && as_shard0.ok());
+  // Queries a series the map routes to the fake, `times` times in a row.
+  auto statuses = [](const ShardMap& map, uint32_t fake_id, int times,
+                     bool* connected) {
+    std::string series;
+    for (int i = 0; series.empty(); ++i) {
+      if (map.OwnerOf("s" + std::to_string(i)) == fake_id) {
+        series = "s" + std::to_string(i);
+      }
+    }
+    CoordServer::CoordOptions options;
+    CoordServer coord(map, options);
+    EXPECT_TRUE(coord.Start().ok());
+    auto client = net::Client::Connect("127.0.0.1", coord.port());
+    EXPECT_TRUE(client.ok());
+    QueryRequest req = SmallQuery(series).request;
+    std::vector<Status> out;
+    for (int t = 0; t < times; ++t) {
+      auto answer = (*client)->Query(req);
+      out.push_back(answer.ok() ? answer->status : answer.status());
+    }
+    *connected = coord.shard_connected(fake_id);
+    coord.Stop();
+    return out;
+  };
+
+  bool connected = true;
+  fake.SetIdentity(1, 0xABC);
+  auto refused = statuses(*as_shard1, 1, 2, &connected);
+  EXPECT_TRUE(refused[0].IsInvalidArgument()) << refused[0].ToString();
+  EXPECT_FALSE(connected);
   // The refusal armed the dial backoff: an immediate retry fails fast.
-  st = refused.EnsureConnected();
-  EXPECT_TRUE(st.IsResourceExhausted()) << st.ToString();
+  EXPECT_TRUE(refused[1].IsResourceExhausted()) << refused[1].ToString();
 
-  ShardClient::Options wrong_id;
-  wrong_id.expect_fingerprint = 0xABC;
-  wrong_id.expect_shard_id = 0;
-  ShardClient misplaced(endpoint, wrong_id);
-  EXPECT_TRUE(misplaced.EnsureConnected().IsInvalidArgument());
+  fake.SetIdentity(1, as_shard0->Fingerprint());
+  auto misplaced = statuses(*as_shard0, 0, 1, &connected);
+  EXPECT_TRUE(misplaced[0].IsInvalidArgument()) << misplaced[0].ToString();
 
-  ShardClient::Options right;
-  right.expect_fingerprint = 0xABC;
-  right.expect_shard_id = 1;
-  ShardClient accepted(endpoint, right);
-  EXPECT_TRUE(accepted.EnsureConnected().ok());
-  EXPECT_TRUE(accepted.connected());
-  server.Stop();
+  fake.SetIdentity(1, as_shard1->Fingerprint());
+  auto accepted = statuses(*as_shard1, 1, 1, &connected);
+  EXPECT_TRUE(accepted[0].ok()) << accepted[0].ToString();
+  EXPECT_TRUE(connected);
+}
+
+// ------------------------------------------- reactor concurrency contract
+
+TEST(CoordReactorTest, ConcurrentPatternQueriesShareTheShardLink) {
+  // The fake answers nothing until it holds two sub-queries at once: both
+  // pattern queries complete only if the coordinator keeps them in flight
+  // together on its link to the shard, instead of serializing one
+  // shard's batches behind each other until the deadline.
+  FakeShard fake({"p0"}, /*hold=*/2);
+  CoordServer::CoordOptions options;
+  options.verify_shard_identity = false;
+  CoordServer coord(FakeShardMap(fake), options);
+  ASSERT_TRUE(coord.Start().ok());
+  auto client = net::Client::Connect("127.0.0.1", coord.port());
+  ASSERT_TRUE(client.ok());
+
+  net::WireQueryRequest wire = SmallQuery("p*");
+  wire.request.timeout_ms = 2'000.0;
+  auto a = (*client)->SendRequest(wire);
+  auto b = (*client)->SendRequest(wire);
+  ASSERT_TRUE(a.ok() && b.ok());
+  for (uint64_t id : {*a, *b}) {
+    auto fed = (*client)->WaitFederatedResponse(id);
+    ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+    EXPECT_TRUE(fed->status.ok()) << fed->status.ToString();
+    EXPECT_FALSE(fed->partial());
+    ASSERT_EQ(fed->groups.size(), 1u);
+    EXPECT_EQ(fed->groups[0].series, "p0");
+  }
+  coord.Stop();
+}
+
+TEST(CoordReactorTest, MaxQueueShedsPastTheBoundAndRetiresTheBooking) {
+  FakeShard fake({"p0"}, /*hold=*/1000);  // withholds until Release()
+  CoordServer::CoordOptions options;
+  options.verify_shard_identity = false;
+  options.max_queue = 1;
+  CoordServer coord(FakeShardMap(fake), options);
+  ASSERT_TRUE(coord.Start().ok());
+  auto client = net::Client::Connect("127.0.0.1", coord.port());
+  ASSERT_TRUE(client.ok());
+
+  const net::WireQueryRequest wire = SmallQuery("p*");
+  auto first = (*client)->SendRequest(wire);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(WaitFor([&fake] { return fake.held() == 1; }));
+
+  // The one slot is taken: the next federated query is shed, typed.
+  auto shed = (*client)->FederatedQuery(wire);
+  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
+  EXPECT_TRUE(shed->status.IsResourceExhausted()) << shed->status.ToString();
+  EXPECT_EQ(coord.stats_registry()->Snapshot().rejected, 1u);
+
+  fake.Release();
+  auto done = (*client)->WaitFederatedResponse(*first);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  EXPECT_TRUE(done->status.ok()) << done->status.ToString();
+
+  // Neither booking lingers: the slot serves again, and Stop()'s drain
+  // (which waits on every booked request) returns.
+  auto again = (*client)->FederatedQuery(wire);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(again->status.ok()) << again->status.ToString();
+  coord.Stop();
+}
+
+size_t ThreadCount() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(CoordReactorTest, ThreadCountIsFlatUnderConcurrentFederatedQueries) {
+  constexpr size_t kInFlight = 32;
+  FakeShard fake({"p0"}, /*hold=*/1000);
+  CoordServer::CoordOptions options;
+  options.verify_shard_identity = false;
+  const size_t before = ThreadCount();
+  CoordServer coord(FakeShardMap(fake), options);
+  ASSERT_TRUE(coord.Start().ok());
+  const size_t started = ThreadCount();
+  // The reactor loop and the base server's blocking-work helper.
+  EXPECT_LE(started, before + 2);
+
+  auto client = net::Client::Connect("127.0.0.1", coord.port());
+  ASSERT_TRUE(client.ok());
+  std::vector<uint64_t> ids;
+  for (size_t i = 0; i < kInFlight; ++i) {
+    auto id = (*client)->SendRequest(SmallQuery("p*"));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  ASSERT_TRUE(WaitFor([&fake] { return fake.held() == kInFlight; }));
+  // No thread was added. (A thread an earlier test joined can still be
+  // listed for a moment and then vanish, so the count may only drop.)
+  EXPECT_LE(ThreadCount(), started);
+
+  fake.Release();
+  for (uint64_t id : ids) {
+    auto fed = (*client)->WaitFederatedResponse(id);
+    ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+    EXPECT_TRUE(fed->status.ok()) << fed->status.ToString();
+  }
+  coord.Stop();
+}
+
+/// A raw connection to a loopback port, for tests that need frames on
+/// the wire in an order net::Client does not produce.
+int ConnectRaw(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  return fd;
+}
+
+std::vector<net::Frame> ReadFrames(int fd, size_t count) {
+  net::FrameDecoder decoder;
+  std::vector<net::Frame> frames;
+  char buf[4096];
+  while (frames.size() < count) {
+    net::Frame frame;
+    Status error;
+    if (decoder.Next(&frame, &error) == net::FrameDecoder::Event::kFrame) {
+      frames.push_back(std::move(frame));
+      continue;
+    }
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
+  }
+  return frames;
+}
+
+TEST(CoordFederationTest, PipelinedAppendThenQuerySeesTheAppendedPoints) {
+  ClusterFixture fx;
+  CoordServer coordinator(*fx.map, fx.CoordServerOptions());
+  ASSERT_TRUE(coordinator.Start().ok());
+  auto client = net::Client::Connect("127.0.0.1", coordinator.port());
+  ASSERT_TRUE(client.ok());
+  Rng rng(777);
+  const TimeSeries base = GenerateSynthetic(1024, &rng);
+  const TimeSeries tail = GenerateSynthetic(512, &rng);
+  ASSERT_TRUE((*client)->CreateSeries("grow", base.values()).ok());
+
+  // The APPEND and a by-reference query into the appended range leave in
+  // one write, before either is answered: the query must run after the
+  // append commits, or its reference is out of range.
+  net::Frame append;
+  append.type = net::FrameType::kAppendRequest;
+  append.request_id = 1;
+  net::EncodeIngestRequestBody(net::WireIngestRequest{"grow", tail.values()},
+                               &append.body);
+  net::WireQueryRequest query;
+  query.request.series = "grow";
+  query.request.params.type = QueryType::kRsmEd;
+  query.request.params.epsilon = 0.5;
+  query.by_reference = true;
+  query.ref_offset = base.size();
+  query.ref_length = 128;
+  net::Frame ask;
+  ask.type = net::FrameType::kQueryRequest;
+  ask.request_id = 2;
+  net::EncodeQueryRequestBody(query, &ask.body);
+  std::string wire;
+  net::EncodeFrame(append, &wire);
+  net::EncodeFrame(ask, &wire);
+
+  const int fd = ConnectRaw(coordinator.port());
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+  const auto frames = ReadFrames(fd, 2);
+  ::close(fd);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].request_id, 1u);
+  EXPECT_EQ(frames[0].type, net::FrameType::kIngestResponse);
+  EXPECT_EQ(frames[1].request_id, 2u);
+  auto answer = net::DecodeQueryAnswer(frames[1], {});
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  ASSERT_TRUE(answer->status.ok()) << answer->status.ToString();
+  EXPECT_TRUE(std::any_of(answer->matches.begin(), answer->matches.end(),
+                          [&base](const MatchResult& m) {
+                            return m.offset == base.size() &&
+                                   m.distance < 1e-9;
+                          }));
+  coordinator.Stop();
 }
 
 // ---------------------------------------------------- cancel fan-out
@@ -835,9 +1250,12 @@ TEST(CoordFederationTest, CancelFansKCancelToEveryShard) {
   }
   ASSERT_TRUE(owns[0] && owns[1] && owns[2]);
 
-  Coordinator::Options options;
+  CoordServer::CoordOptions options;
   options.verify_shard_identity = false;
-  Coordinator coord(*map, options);
+  CoordServer coord(*map, options);
+  ASSERT_TRUE(coord.Start().ok());
+  auto client = net::Client::Connect("127.0.0.1", coord.port());
+  ASSERT_TRUE(client.ok());
 
   net::WireQueryRequest wire;
   wire.request.series = "heavy*";
@@ -848,18 +1266,18 @@ TEST(CoordFederationTest, CancelFansKCancelToEveryShard) {
   wire.request.params.beta = 1e6;
   wire.request.params.rho = 32;
 
-  auto cancel = std::make_shared<CancelToken>();
-  std::thread killer([&cancel] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    cancel->Cancel();
-  });
   const auto t0 = std::chrono::steady_clock::now();
-  net::FederatedResponse fed = coord.ExecutePattern(wire, cancel);
+  auto id = (*client)->SendRequest(wire);
+  ASSERT_TRUE(id.ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  ASSERT_TRUE((*client)->Cancel(*id).ok());
+  auto answered = (*client)->WaitFederatedResponse(*id);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  const net::FederatedResponse& fed = *answered;
   const double elapsed_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
           .count();
-  killer.join();
 
   // Every sub-query ended Cancelled, so no shard contributed and the
   // whole federated answer is typed Cancelled — well before the queries'

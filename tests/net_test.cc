@@ -1751,54 +1751,6 @@ TEST(NetClientTest, TerminalErrorFrameReleasesParkedStreamChunks) {
   EXPECT_EQ((*client)->parked_frames(), 0u);
 }
 
-TEST(NetClientTest, ForgetDiscardsLateFramesAndRetiresTombstone) {
-  ScriptedServer server;
-  auto client = Client::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(client.ok());
-  server.Accept();
-
-  QueryRequest req;
-  req.series = "s";
-  req.query = {1.0};
-  auto id = (*client)->SendRequest(req);
-  ASSERT_TRUE(id.ok());
-  ASSERT_EQ(server.ReadFrames(1).size(), 1u);
-
-  (*client)->Forget(*id);
-  EXPECT_EQ((*client)->forgotten_ids(), 1u);
-
-  // The abandoned query's stream chunk and terminal frame arrive late.
-  Frame part;
-  part.type = FrameType::kMatchResponsePart;
-  part.request_id = *id;
-  EncodeMatchPartBody(std::vector<MatchResult>{{4, 4.0}}, &part.body);
-  server.SendFrame(part);
-  Frame final_frame;
-  final_frame.type = FrameType::kQueryResponse;
-  final_frame.request_id = *id;
-  QueryResponse late;
-  late.matches = {{4, 4.0}};
-  EncodeQueryResponseBody(late, &final_frame.body);
-  server.SendFrame(final_frame);
-
-  // A ping walks the client through the late frames: both are discarded
-  // (nothing parks) and the tombstone retires on the terminal frame, so
-  // Forget cannot accumulate state either.
-  std::thread ponger([&server] {
-    const auto pings = server.ReadFrames(1);
-    ASSERT_EQ(pings.size(), 1u);
-    Frame pong;
-    pong.type = FrameType::kPong;
-    pong.request_id = pings[0].request_id;
-    server.SendFrame(pong);
-  });
-  EXPECT_TRUE((*client)->Ping().ok());
-  ponger.join();
-  EXPECT_EQ((*client)->parked_part_ids(), 0u);
-  EXPECT_EQ((*client)->parked_frames(), 0u);
-  EXPECT_EQ((*client)->forgotten_ids(), 0u);
-}
-
 // ------------------------------------------------- idle-reaper quiescence
 
 TEST(NetServerTest, IdleReaperSparesConnectionDrainingAResponse) {

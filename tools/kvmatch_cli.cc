@@ -55,16 +55,20 @@
 //     it answers kShardInfo with shard N's identity under that map and
 //     refuses ingest for series the map assigns to other shards.
 //   kvmatch_cli coord        --shard-map map.txt [--port 7900]
-//                            [--bind ADDR] [--threads 4] [--queue 256]
+//                            [--bind ADDR] [--queue 256]
 //                            [--shard-timeout-ms 10000] [--max-conns 64]
 //     Scatter-gather coordinator over the shards in map.txt (format:
 //     one "shard <id> <host> <port>" line per shard). Exact-series
-//     queries are routed to the owner shard and answered byte-identical
-//     to asking it directly; series patterns ('*'/'?') fan out to every
-//     shard and merge into a kFederatedResponse. Ingest and LIST route
-//     through the map; kCancel fans out to every shard a request
-//     touched. A dead shard degrades pattern queries to typed partial
-//     results instead of hanging.
+//     queries are routed to the owner shard and its answer frames are
+//     passed through as they arrive, byte-identical to asking it
+//     directly; series patterns ('*'/'?') fan out to every shard and
+//     merge into a kFederatedResponse. Ingest and LIST route through the
+//     map; kCancel fans out to every shard a request touched. A dead
+//     shard degrades pattern queries to typed partial results instead of
+//     hanging. All shard I/O runs on the one reactor thread over one
+//     pipelined connection per shard; --queue bounds the federated
+//     queries in flight (ResourceExhausted past it), and
+//     --shard-timeout-ms bounds each shard round trip.
 //   kvmatch_cli remote-query --host 127.0.0.1 --port 7777 --queries q.txt
 //                            [--trace] [--trace-json trace.json]
 //     Same query-file syntax as batch-query; qoffset/qlen windows are
@@ -772,9 +776,7 @@ int CmdCoord(const Args& args) {
       args.GetU64("stream-chunk", 2'000'000);
   opts.server.drain_timeout_ms = args.GetF("drain-ms", 30'000.0);
   opts.server.max_outbox_bytes = args.GetU64("max-outbox-mb", 256) << 20;
-  opts.coord.client.call_timeout_ms = args.GetF("shard-timeout-ms",
-                                                10'000.0);
-  opts.num_threads = args.GetU64("threads", 4);
+  opts.shard_timeout_ms = args.GetF("shard-timeout-ms", 10'000.0);
   opts.max_queue = args.GetU64("queue", 256);
 
   const size_t num_shards = map->num_shards();
