@@ -16,21 +16,44 @@
 // while a replace pays the full O(n) rewrite.
 //
 // Also reported, from the StatsRegistry the catalog feeds: the per-commit
-// span breakdown (journal / data / index / header / flip wall time) and
-// the write amplification (encoded bytes committed per raw point byte),
-// and — last — an ingest-path A/B of Catalog::Options::instrument_storage
-// off vs on, the overhead of the per-op storage instrumentation.
+// span breakdown (journal / data / index / header / flip wall time, and
+// the store Flush's share of the flip) and the write amplification
+// (encoded bytes committed per raw point byte), then an ingest-path A/B of
+// Catalog::Options::instrument_storage off vs on, the overhead of the
+// per-op storage instrumentation.
+//
+// Last, a bystander sweep: a fresh catalog per size holding 1, 16, 64 and
+// 256 MB of other series (--quick stops at 16 MB) plus a 100k-point series
+// that takes sequential 1000-point appends. Per size it prints append
+// p50/p90, the bytes the process wrote (wchar of /proc/self/io, so
+// segment appends and compactions alike) per appended byte, and the
+// store-file growth per appended byte of the appends that did not compact.
+// On the file backend an append writes its staged rows, so latency and
+// growth stay flat as the bystanders grow; compactions (counted) are the
+// only whole-file writes.
 //
 //   ./bench_ingest_while_query [--n <points per series>] [--runs <mult>]
-//                              [--seed <s>] [--quick]
+//                              [--seed <s>] [--backend mem|file] [--quick]
+//
+// --backend picks the store every phase runs on: MemKvStore (default) or
+// a FileKvStore in the system temp directory, the backend `serve` uses.
 #include "bench_common.h"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <future>
 #include <thread>
 
+#include "bench_util/process_io.h"
+#include "common/histogram.h"
 #include "service/catalog.h"
 #include "service/query_service.h"
+#include "storage/file_kvstore.h"
 #include "storage/mem_kvstore.h"
 
 using namespace kvmatch;
@@ -64,10 +87,142 @@ PhaseResult RunPhase(QueryService* service,
   return out;
 }
 
+/// The store a phase runs on: MemKvStore, or a FileKvStore on a fresh
+/// file that is removed again with the store.
+struct BenchStore {
+  std::unique_ptr<KvStore> store;
+  std::string path;  // set on the file backend
+
+  static BenchStore Make(bool file_backend, const std::string& tag) {
+    BenchStore out;
+    if (!file_backend) {
+      out.store = std::make_unique<MemKvStore>();
+      return out;
+    }
+    out.path = (std::filesystem::temp_directory_path() /
+                ("kvm_bench_iwq_" + std::to_string(::getpid()) + "_" + tag))
+                   .string();
+    std::filesystem::remove(out.path);
+    auto opened = FileKvStore::Open(out.path);
+    if (!opened.ok()) {
+      std::fprintf(stderr, "open %s: %s\n", out.path.c_str(),
+                   opened.status().ToString().c_str());
+      std::exit(1);
+    }
+    out.store = std::move(opened).value();
+    return out;
+  }
+
+  BenchStore() = default;
+  BenchStore(BenchStore&&) = default;
+  BenchStore& operator=(BenchStore&&) = default;
+  ~BenchStore() {
+    store.reset();
+    if (!path.empty()) std::filesystem::remove(path);
+  }
+
+  uint64_t Gauge(const char* name) const {
+    return store->Gauge(name).value_or(0);
+  }
+};
+
+/// Append latency and bytes written as the rest of the catalog grows.
+int RunBystanderSweep(const BenchFlags& flags, bool file_backend) {
+  std::vector<size_t> sizes_mb = {1, 16, 64, 256};
+  if (flags.quick) sizes_mb = {1, 16};
+  const size_t kHotPoints = 100'000;
+  const size_t kAppend = 1000;
+  const size_t appends = flags.quick ? 30 : 100;
+  std::printf("\nbystander sweep (%s backend): %zu appends of %zu points "
+              "into a %zu-point series\n",
+              file_backend ? "file" : "mem", appends, kAppend, kHotPoints);
+  TablePrinter table({"Bystanders (MB)", "Store (MB)", "Append p50 (ms)",
+                      "Append p90 (ms)", "Written / appended B",
+                      "Growth / appended B", "Compactions"});
+  for (const size_t mb : sizes_mb) {
+    BenchStore bs = BenchStore::Make(file_backend, std::to_string(mb));
+    Catalog catalog(bs.store.get());
+    Rng rng(flags.seed + mb);
+    const size_t points = mb * (1u << 20) / 8;
+    for (size_t done = 0, i = 0; done < points; ++i) {
+      const size_t n = std::min<size_t>(points - done, 1u << 20);
+      if (!catalog.CreateSeries("by" + std::to_string(i),
+                                GenerateUcrLike(n, &rng))
+               .ok()) {
+        std::fprintf(stderr, "bystander create failed\n");
+        return 1;
+      }
+      done += n;
+    }
+    if (!catalog.CreateSeries("hot", GenerateUcrLike(kHotPoints, &rng))
+             .ok()) {
+      std::fprintf(stderr, "create failed\n");
+      return 1;
+    }
+    std::vector<TimeSeries> chunks;
+    for (size_t i = 0; i <= appends; ++i) {
+      chunks.push_back(GenerateUcrLike(kAppend, &rng));
+    }
+    // One untimed warm-up append.
+    if (!catalog.AppendSeries("hot", chunks.back().values()).ok()) return 1;
+    chunks.pop_back();
+
+    const uint64_t compactions0 = bs.Gauge("compactions_total");
+    const uint64_t written0 = ProcessBytesWritten();
+    LatencyHistogram ms;
+    double growth = 0.0;  // over the appends that did not compact
+    size_t growth_appends = 0;
+    for (const auto& chunk : chunks) {
+      const uint64_t bytes0 = bs.Gauge("file_bytes");
+      const uint64_t compacted0 = bs.Gauge("compactions_total");
+      Stopwatch sw;
+      if (!catalog.AppendSeries("hot", chunk.values()).ok()) {
+        std::fprintf(stderr, "append failed\n");
+        return 1;
+      }
+      ms.Record(sw.Ms());
+      if (bs.Gauge("compactions_total") == compacted0) {
+        growth += static_cast<double>(bs.Gauge("file_bytes") - bytes0);
+        ++growth_appends;
+      }
+    }
+    const double written =
+        static_cast<double>(ProcessBytesWritten() - written0);
+    const LatencyHistogram::Snapshot latency = ms.TakeSnapshot();
+    const double appended = 8.0 * kAppend * appends;
+    const double growth_per_byte =
+        growth_appends > 0 ? growth / (8.0 * kAppend * growth_appends) : 0.0;
+    table.AddRow(
+        {TablePrinter::FmtInt(mb),
+         file_backend
+             ? TablePrinter::Fmt(bs.Gauge("file_bytes") / 1048576.0, 1)
+             : "-",
+         TablePrinter::Fmt(latency.Percentile(0.50), 2),
+         TablePrinter::Fmt(latency.Percentile(0.90), 2),
+         file_backend ? TablePrinter::Fmt(written / appended, 1) : "-",
+         file_backend ? TablePrinter::Fmt(growth_per_byte, 2) : "-",
+         file_backend ? TablePrinter::FmtInt(bs.Gauge("compactions_total") -
+                                             compactions0)
+                      : "-"});
+  }
+  table.Print();
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   BenchFlags flags = BenchFlags::Parse(argc, argv);
+  bool file_backend = false;
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], "--backend") != 0) continue;
+    const std::string backend = argv[i + 1];
+    if (backend != "mem" && backend != "file") {
+      std::fprintf(stderr, "--backend must be mem or file\n");
+      return 2;
+    }
+    file_backend = backend == "file";
+  }
   size_t per_series = flags.n == 2'000'000 ? 200'000 : flags.n;
   size_t batch = 48 * static_cast<size_t>(std::max(1, flags.runs));
   int rounds = 4;
@@ -81,12 +236,13 @@ int main(int argc, char** argv) {
   const size_t m = 256;
   const size_t kQuerySeries = 4;
 
-  std::printf("ingest-while-query: %zu query series x %zu points, |Q|=%zu, "
-              "%zu queries x %d rounds, append chunk %zu\n\n",
-              kQuerySeries, per_series, m, batch, rounds, append_chunk);
+  std::printf("ingest-while-query (%s backend): %zu query series x %zu "
+              "points, |Q|=%zu, %zu queries x %d rounds, append chunk %zu\n\n",
+              file_backend ? "file" : "mem", kQuerySeries, per_series, m,
+              batch, rounds, append_chunk);
 
-  MemKvStore store;
-  Catalog catalog(&store);
+  BenchStore main_store = BenchStore::Make(file_backend, "main");
+  Catalog catalog(main_store.store.get());
   std::vector<TimeSeries> references;
   for (size_t i = 0; i < kQuerySeries; ++i) {
     Rng rng(flags.seed + i);
@@ -248,6 +404,8 @@ int main(int argc, char** argv) {
     add_stage("header", snap.commit_header_ms);
     add_stage("flip", snap.commit_flip_ms);
     spans.Print();
+    std::printf("of the flip, store Flush: %.1f ms total, %.3f ms mean\n",
+                snap.commit_flush_ms, snap.commit_flush_ms / commits);
     const uint64_t raw_bytes = 8ull * points_ingested.load();
     if (raw_bytes > 0) {
       std::printf("write amplification: %.2fx (%llu committed bytes / "
@@ -267,10 +425,10 @@ int main(int argc, char** argv) {
   const size_t overhead_rounds = flags.quick ? 3 : 5;
   double pps[2] = {0.0, 0.0};
   const auto run_once = [&](bool instrumented) -> double {
-    MemKvStore plain;
+    BenchStore plain = BenchStore::Make(file_backend, "ab");
     Catalog::Options copts;
     copts.instrument_storage = instrumented;
-    Catalog bench_catalog(&plain, copts);
+    Catalog bench_catalog(plain.store.get(), copts);
     Rng brng(flags.seed + 1234);  // same seed both ways: identical bytes
     if (!bench_catalog
              .CreateSeries("w", GenerateUcrLike(per_series, &brng))
@@ -320,5 +478,5 @@ int main(int argc, char** argv) {
        TablePrinter::Fmt(
            pps[1] > 0.0 ? 100.0 * (pps[0] / pps[1] - 1.0) : 0.0, 1) + "%"});
   overhead.Print();
-  return 0;
+  return RunBystanderSweep(flags, file_backend);
 }

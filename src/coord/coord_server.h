@@ -39,6 +39,7 @@
 #define KVMATCH_COORD_COORD_SERVER_H_
 
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -84,6 +85,12 @@ class CoordServer : private internal::CoordServerState,
     /// ResourceExhausted (same shedding contract as QueryService).
     /// 0 → unbounded.
     size_t max_queue = 256;
+    /// Resolves a shard's host; empty → net::ResolveIPv4. Called when
+    /// the coordinator is built and, off the loop, after every lost or
+    /// failed dial, so a shard whose name did not resolve at startup, or
+    /// that comes back at a new address, is reached on a later redial.
+    std::function<Result<sockaddr_in>(const std::string& host, int port)>
+        resolve;
   };
 
   CoordServer(ShardMap map, CoordOptions options);

@@ -1,6 +1,7 @@
 #include "coord/shard_link.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 namespace kvmatch {
@@ -23,10 +24,41 @@ std::string Encode(net::FrameType type, uint64_t id, std::string body) {
   return wire;
 }
 
+Result<sockaddr_in> Resolve(const CoordServer::CoordOptions& options,
+                            const ShardEndpoint& endpoint) {
+  return options.resolve ? options.resolve(endpoint.host, endpoint.port)
+                         : net::ResolveIPv4(endpoint.host, endpoint.port);
+}
+
 }  // namespace
 
 CoordServer::ShardLink::ShardLink(CoordServer* server, uint32_t shard)
-    : server_(server), shard_(shard) {}
+    : server_(server), shard_(shard) {
+  SetAddress(
+      Resolve(server_->coord_options_, server_->map_.endpoint(shard_)));
+}
+
+void CoordServer::ShardLink::SetAddress(const Result<sockaddr_in>& addr) {
+  resolved_ = addr.status();
+  if (addr.ok()) addr_ = addr.value();
+}
+
+void CoordServer::ShardLink::Reresolve() {
+  if (resolving_) return;
+  auto answer = std::make_shared<Result<sockaddr_in>>(
+      Status::Internal("not resolved"));
+  resolving_ = server_->Offload(
+      [this, answer] {
+        // Blocking thread: reads only what is immutable after
+        // construction.
+        *answer =
+            Resolve(server_->coord_options_, server_->map_.endpoint(shard_));
+      },
+      [this, answer] {
+        resolving_ = false;
+        SetAddress(*answer);
+      });
+}
 
 std::string CoordServer::ShardLink::Describe() const {
   const ShardEndpoint& endpoint = server_->map_.endpoint(shard_);
@@ -73,10 +105,12 @@ void CoordServer::ShardLink::Cancel(uint64_t id) {
 }
 
 Status CoordServer::ShardLink::Dial() {
-  const ShardEndpoint& endpoint = server_->map_.endpoint(shard_);
+  if (!resolved_.ok()) {
+    Drop(resolved_);
+    return resolved_;
+  }
   auto conn = server_->Dial(
-      endpoint.host, endpoint.port,
-      [this](net::Frame frame) { OnFrame(frame); },
+      addr_, [this](net::Frame frame) { OnFrame(frame); },
       [this](const Status& why) {
         // Our own Drop() clears conn_ before closing; anything else
         // closing the live link (EOF, refused connect, corrupt stream)
@@ -186,6 +220,9 @@ void CoordServer::ShardLink::Drop(const Status& why) {
                                server_->coord_options_.backoff_max_ms);
   next_dial_ = std::chrono::steady_clock::now() + Millis(backoff_ms_);
   last_error_ = why;
+  // The host may have failed to resolve, or moved: look it up again
+  // before the backoff lets the next dial go.
+  Reresolve();
   if (conn != nullptr) server_->CloseConnection(conn, why);
   std::map<uint64_t, PendingCall> failed;
   failed.swap(calls_);

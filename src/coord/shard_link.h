@@ -6,6 +6,8 @@
 #ifndef KVMATCH_COORD_SHARD_LINK_H_
 #define KVMATCH_COORD_SHARD_LINK_H_
 
+#include <netinet/in.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -30,6 +32,10 @@ class CoordServer::ShardLink {
   /// empty frame) in place of the final frame.
   using Reply = std::function<void(const Status&, net::Frame&)>;
 
+  /// Resolves the shard's host (blocking, so on the constructing
+  /// thread, never on the loop). While the host does not resolve, every
+  /// dial fails with the resolver's error; each failure re-resolves on
+  /// the server's blocking helper (see Drop), so a later redial recovers.
   ShardLink(CoordServer* server, uint32_t shard);
 
   ShardLink(const ShardLink&) = delete;
@@ -60,14 +66,23 @@ class CoordServer::ShardLink {
   void OnFrame(net::Frame& frame);
   void OnIdentity(const Status& status, net::Frame& frame);
   /// Takes the link down: closes the connection, arms the redial
-  /// backoff and fails every outstanding call with `why`.
+  /// backoff, starts a re-resolve of the host and fails every
+  /// outstanding call with `why`.
   void Drop(const Status& why);
+  /// Resolves the shard's host on the server's blocking helper and
+  /// installs the answer on the loop; at most one at a time.
+  void Reresolve();
+  /// Records a resolver answer as the address the next dial uses.
+  void SetAddress(const Result<sockaddr_in>& addr);
   /// Queues `wire` behind the identity check, or sends it once passed.
   void Send(std::string wire);
   std::string Describe() const;
 
   CoordServer* const server_;
   const uint32_t shard_;
+  sockaddr_in addr_{};      // the host's last resolved address
+  Status resolved_;         // why addr_ is unusable, if it is
+  bool resolving_ = false;  // a Reresolve() is in flight
 
   std::shared_ptr<Connection> conn_;  // null while the link is down
   std::vector<std::string> held_;     // frames waiting for the check

@@ -95,7 +95,6 @@ void EventLoop::DrainWakeup() {
 }
 
 void EventLoop::Run(int tick_ms, const std::function<void()>& on_tick) {
-  loop_thread_ = std::this_thread::get_id();
   struct epoll_event events[kMaxEvents];
   while (!stop_.load(std::memory_order_acquire)) {
     const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, tick_ms);

@@ -24,7 +24,6 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -67,10 +66,6 @@ class EventLoop {
   /// Makes Run() return after the current iteration. Any thread.
   void RequestStop();
 
-  bool InLoopThread() const {
-    return std::this_thread::get_id() == loop_thread_;
-  }
-
   // Observability: epoll_wait returns and eventfd wakeups (Post calls
   // that actually had to prod the loop).
   uint64_t iterations() const {
@@ -95,7 +90,6 @@ class EventLoop {
   std::map<uint64_t, Handler> handlers_;  // loop thread only
 
   std::atomic<bool> stop_{false};
-  std::thread::id loop_thread_;
 
   std::mutex posted_mu_;
   std::vector<std::function<void()>> posted_;

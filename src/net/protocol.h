@@ -205,8 +205,6 @@ class FrameDecoder {
   void Feed(std::string_view data);
   Event Next(Frame* out, Status* error);
 
-  size_t buffered_bytes() const { return buffer_.size() - pos_; }
-
  private:
   size_t max_payload_bytes_;
   std::string buffer_;

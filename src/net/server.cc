@@ -95,7 +95,8 @@ Status Errno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
 }
 
-/// The IPv4 address `host` resolves to, with `port`.
+}  // namespace
+
 Result<sockaddr_in> ResolveIPv4(const std::string& host, int port) {
   struct addrinfo hints = {};
   hints.ai_family = AF_INET;
@@ -112,12 +113,20 @@ Result<sockaddr_in> ResolveIPv4(const std::string& host, int port) {
   return addr;
 }
 
+namespace {
+
 Status SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
     return Errno("fcntl(O_NONBLOCK)");
   }
   return Status::OK();
+}
+
+std::string Describe(const sockaddr_in& addr) {
+  char host[INET_ADDRSTRLEN] = "?";
+  ::inet_ntop(AF_INET, &addr.sin_addr, host, sizeof(host));
+  return std::string(host) + ":" + std::to_string(ntohs(addr.sin_port));
 }
 
 }  // namespace
@@ -483,10 +492,8 @@ void Server::FlushRefusal(const std::shared_ptr<Refusal>& refusal) {
 }
 
 Result<std::shared_ptr<Server::Connection>> Server::Dial(
-    const std::string& host, int port, std::function<void(Frame)> on_frame,
+    const sockaddr_in& addr, std::function<void(Frame)> on_frame,
     std::function<void(const Status&)> on_close) {
-  const auto addr = ResolveIPv4(host, port);
-  if (!addr.ok()) return addr.status();
   // Nonblocking connect. Until it completes, recv and sendmsg answer
   // EAGAIN, so the ordinary read and flush paths simply wait for it (the
   // queued frames leave on the EPOLLOUT that signals the connection),
@@ -494,10 +501,10 @@ Result<std::shared_ptr<Server::Connection>> Server::Dial(
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return Errno("socket");
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr.value()),
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                 sizeof(sockaddr_in)) < 0 &&
       errno != EINPROGRESS) {
-    const Status st = Errno("connect " + host + ":" + std::to_string(port));
+    const Status st = Errno("connect " + Describe(addr));
     ::close(fd);
     return st;
   }
@@ -968,6 +975,20 @@ void Server::RunBlocking(const std::shared_ptr<Connection>& conn,
     });
   }
   blocking_cv_.notify_one();
+}
+
+bool Server::Offload(std::function<void()> work, std::function<void()> done) {
+  {
+    std::lock_guard<std::mutex> lock(blocking_mu_);
+    if (blocking_stop_) return false;
+    blocking_queue_.push_back(
+        [this, work = std::move(work), done = std::move(done)]() mutable {
+          work();
+          loop_->Post(std::move(done));
+        });
+  }
+  blocking_cv_.notify_one();
+  return true;
 }
 
 void Server::BlockingWorker() {

@@ -54,6 +54,8 @@
 #ifndef KVMATCH_NET_SERVER_H_
 #define KVMATCH_NET_SERVER_H_
 
+#include <netinet/in.h>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -75,6 +77,10 @@
 
 namespace kvmatch {
 namespace net {
+
+/// The IPv4 address `host` resolves to, with `port`. Blocks on the
+/// resolver: call it off the event loop.
+Result<sockaddr_in> ResolveIPv4(const std::string& host, int port);
 
 class Server {
  public:
@@ -285,8 +291,14 @@ class Server {
   /// buffered frames in order on a later loop pass.
   void Suspend(const std::shared_ptr<Connection>& conn);
   void Resume(const std::shared_ptr<Connection>& conn);
+  /// Runs `work` on the blocking-work thread (FIFO with RunBlocking's
+  /// work), then `done` on the loop: blocking calls that belong to no
+  /// connection, such as resolving a host name. Safe from any thread.
+  /// Returns false, running neither, once Stop() has retired the helper.
+  bool Offload(std::function<void()> work, std::function<void()> done);
 
-  /// Opens a nonblocking outbound connection to host:port on the loop.
+  /// Opens a nonblocking outbound connection to `addr` on the loop (the
+  /// caller resolved it with ResolveIPv4 beforehand, off the loop).
   /// Frames queued with EnqueueRaw() before the connect completes are
   /// sent once it does; decoded frames go to `on_frame`; `on_close`
   /// fires once, with the reason, when the connection closes for any
@@ -295,8 +307,7 @@ class Server {
   /// they do not count against max_connections, the idle reaper and the
   /// drain leave them open, and Stop() closes them last.
   Result<std::shared_ptr<Connection>> Dial(
-      const std::string& host, int port,
-      std::function<void(Frame)> on_frame,
+      const sockaddr_in& addr, std::function<void(Frame)> on_frame,
       std::function<void(const Status&)> on_close);
   /// Closes the fd, retires the connection, cancels its in-flight
   /// queries and fires an outbound connection's on_close(why). Loop

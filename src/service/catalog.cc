@@ -428,6 +428,7 @@ Status Catalog::CommitEpochLocked(const std::string& name,
   CommitBreakdown breakdown;
   double journal_ms = 0.0;
   double flip_ms = 0.0;
+  double flush_ms = 0.0;
   {
     std::lock_guard<std::mutex> write_lock(*store_write_mu_);
     // Intent first: every backend persists staged writes in order, so the
@@ -445,7 +446,11 @@ Status Catalog::CommitEpochLocked(const std::string& name,
       flip.Put(DirectoryKey(name), EncodeLayout(layout, epoch));
       flip.Put(kNextEpochKey, std::to_string(next_epoch_));
       st = store_->Apply(flip);
-      if (st.ok()) st = store_->Flush();
+      if (st.ok()) {
+        const auto flush_t0 = Clock::now();
+        st = store_->Flush();
+        flush_ms = ms_since(flush_t0);
+      }
       flip_ms = ms_since(flip_t0);
     }
     if (!st.ok()) {
@@ -548,6 +553,7 @@ Status Catalog::CommitEpochLocked(const std::string& name,
     record.index_ms = breakdown.index_ms;
     record.header_ms = breakdown.header_ms;
     record.flip_ms = flip_ms;
+    record.flush_ms = flush_ms;
     record.chunk_rows = breakdown.chunk_rows;
     record.index_rows = breakdown.index_rows;
     record.bytes_written = breakdown.bytes_written;
@@ -572,7 +578,8 @@ Status Catalog::CommitEpochLocked(const std::string& name,
                                  .FNum("data_ms", breakdown.data_ms)
                                  .FNum("index_ms", breakdown.index_ms)
                                  .FNum("header_ms", breakdown.header_ms)
-                                 .FNum("flip_ms", flip_ms));
+                                 .FNum("flip_ms", flip_ms)
+                                 .FNum("flush_ms", flush_ms));
     if (slow) {
       options_.event_log->Emit(
           Event{kEventSlowCommit, name}

@@ -192,6 +192,7 @@ void StatsRegistry::RecordCommit(const CommitRecord& rec) {
   add(commit_index_ns_, ToNs(rec.index_ms));
   add(commit_header_ns_, ToNs(rec.header_ms));
   add(commit_flip_ns_, ToNs(rec.flip_ms));
+  add(commit_flush_ns_, ToNs(rec.flush_ms));
   add(commit_chunk_rows_, rec.chunk_rows);
   add(commit_index_rows_, rec.index_rows);
   add(commit_bytes_, rec.bytes_written);
@@ -278,6 +279,7 @@ ServiceStatsSnapshot StatsRegistry::Snapshot() const {
   snap.commit_index_ms = ns_to_ms(commit_index_ns_);
   snap.commit_header_ms = ns_to_ms(commit_header_ns_);
   snap.commit_flip_ms = ns_to_ms(commit_flip_ns_);
+  snap.commit_flush_ms = ns_to_ms(commit_flush_ns_);
   snap.commit_chunk_rows =
       commit_chunk_rows_.load(std::memory_order_relaxed);
   snap.commit_index_rows =
@@ -365,6 +367,7 @@ void StatsRegistry::Reset() {
   commit_index_ns_.store(0, std::memory_order_relaxed);
   commit_header_ns_.store(0, std::memory_order_relaxed);
   commit_flip_ns_.store(0, std::memory_order_relaxed);
+  commit_flush_ns_.store(0, std::memory_order_relaxed);
   commit_chunk_rows_.store(0, std::memory_order_relaxed);
   commit_index_rows_.store(0, std::memory_order_relaxed);
   commit_bytes_.store(0, std::memory_order_relaxed);
@@ -543,6 +546,8 @@ std::string StatsToText(const ServiceStatsSnapshot& snap) {
             snap.commit_header_ms);
   EmitGauge(&out, "kvmatch_commit_stage_ms_total{stage=\"flip\"}",
             snap.commit_flip_ms);
+  // Part of the flip stage above, not a sixth stage.
+  EmitGauge(&out, "kvmatch_commit_flush_ms_total", snap.commit_flush_ms);
   EmitCounter(&out, "kvmatch_commit_chunk_rows_total",
               snap.commit_chunk_rows);
   EmitCounter(&out, "kvmatch_commit_index_rows_total",

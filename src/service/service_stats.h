@@ -58,6 +58,7 @@ struct CommitRecord {
   double index_ms = 0.0;    // γ-merge + index-row batches
   double header_ms = 0.0;   // header flip batch (SeriesStore header)
   double flip_ms = 0.0;     // directory-row flip + flush
+  double flush_ms = 0.0;    // the flip's store Flush (append + fdatasync)
   uint64_t chunk_rows = 0;
   uint64_t index_rows = 0;
   uint64_t bytes_written = 0;
@@ -147,6 +148,7 @@ struct ServiceStatsSnapshot {
   double commit_index_ms = 0.0;
   double commit_header_ms = 0.0;
   double commit_flip_ms = 0.0;
+  double commit_flush_ms = 0.0;  // the Flush share of commit_flip_ms
   uint64_t commit_chunk_rows = 0;
   uint64_t commit_index_rows = 0;
   uint64_t commit_bytes = 0;
@@ -308,6 +310,7 @@ class StatsRegistry {
   std::atomic<uint64_t> commit_index_ns_{0};
   std::atomic<uint64_t> commit_header_ns_{0};
   std::atomic<uint64_t> commit_flip_ns_{0};
+  std::atomic<uint64_t> commit_flush_ns_{0};
   std::atomic<uint64_t> commit_chunk_rows_{0};
   std::atomic<uint64_t> commit_index_rows_{0};
   std::atomic<uint64_t> commit_bytes_{0};

@@ -54,4 +54,13 @@ Status KvStore::ReplayBatch(const WriteBatch& batch) {
 
 Status KvStore::Apply(const WriteBatch& batch) { return ReplayBatch(batch); }
 
+std::optional<uint64_t> KvStore::Gauge(std::string_view name) const {
+  std::vector<std::pair<std::string, uint64_t>> gauges;
+  FillGauges(&gauges);
+  for (const auto& [n, v] : gauges) {
+    if (n == name) return v;
+  }
+  return std::nullopt;
+}
+
 }  // namespace kvmatch

@@ -14,6 +14,10 @@
 // (FileKvStore) exposes the batch to scans only at the next Flush, still
 // all-at-once. After a Flush, every backend agrees: Get and Scan reflect
 // exactly the surviving writes, with nothing deleted reappearing.
+// FileKvStore's Flush is also its durability point: it appends the staged
+// writes as one segment of its single-file log and fdatasyncs it, writing
+// O(staged) bytes (see file_kvstore.h for the segment format, the
+// torn-tail rule and the compaction trigger).
 //
 // Thread-safety contract: every implementation supports any number of
 // concurrent readers (Get/Scan/ApproximateCount), including readers that
@@ -26,6 +30,7 @@
 #define KVMATCH_STORAGE_KVSTORE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -118,7 +123,8 @@ class KvStore {
 
   /// Inserts or overwrites: after Put returns, Get(key) yields `value`
   /// regardless of any previous Put/Delete of the same key. (FileKvStore
-  /// defers scan visibility to Flush; Get sees staged writes immediately.)
+  /// defers scan visibility and durability to Flush; Get sees staged
+  /// writes immediately.)
   virtual Status Put(std::string_view key, std::string_view value) = 0;
   virtual Status Get(std::string_view key, std::string* value) const = 0;
 
@@ -156,6 +162,8 @@ class KvStore {
       std::vector<std::pair<std::string, uint64_t>>* gauges) const {
     (void)gauges;
   }
+  /// The FillGauges value named `name`, if the backend reports one.
+  std::optional<uint64_t> Gauge(std::string_view name) const;
 
  protected:
   /// Shared default-Apply body: replays ops through the virtual write

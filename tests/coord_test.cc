@@ -450,6 +450,44 @@ TEST(CoordFederationTest, PatternTopKIsTheGlobalBoundedHeapOrder) {
   coordinator.Stop();
 }
 
+TEST(CoordFederationTest, ShardMapNamingLocalhostResolvesAtStartup) {
+  // Hostnames are resolved once when the coordinator is built, off its
+  // event loop; the dials then use the resolved addresses.
+  ClusterFixture fx;
+  std::vector<ShardEndpoint> endpoints;
+  for (auto& node : fx.nodes) {
+    endpoints.push_back(ShardEndpoint{"localhost", node->server->port()});
+  }
+  auto named = ShardMap::FromEndpoints(std::move(endpoints));
+  ASSERT_TRUE(named.ok());
+  CoordServer coordinator(*named, fx.CoordServerOptions());
+  ASSERT_TRUE(coordinator.Start().ok());
+  auto fed = net::Client::Connect("127.0.0.1", coordinator.port());
+  auto single = net::Client::Connect("127.0.0.1", fx.all_server->port());
+  ASSERT_TRUE(fed.ok() && single.ok());
+
+  for (size_t i = 0; i < 6; ++i) {
+    const QueryRequest req = MakeRequest(fx, i);
+    auto a = (*fed)->Query(req);
+    auto b = (*single)->Query(req);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_TRUE(a->status.ok()) << a->status.ToString();
+    EXPECT_EQ(a->matches, b->matches) << "request " << i;
+  }
+  // A pattern reaches every shard through its named link.
+  net::WireQueryRequest wire;
+  wire.request = MakeRequest(fx, 0);
+  wire.request.series = "f*";
+  wire.request.top_k = 0;
+  auto pattern = (*fed)->FederatedQuery(wire);
+  ASSERT_TRUE(pattern.ok()) << pattern.status().ToString();
+  EXPECT_FALSE(pattern->partial());
+  for (uint32_t s = 0; s < kClusterShards; ++s) {
+    EXPECT_TRUE(coordinator.shard_connected(s)) << "shard " << s;
+  }
+  coordinator.Stop();
+}
+
 TEST(CoordFederationTest, PatternRejectsByReferenceQueries) {
   ClusterFixture fx;
   CoordServer coordinator(*fx.map, fx.CoordServerOptions());
@@ -1292,6 +1330,59 @@ TEST(CoordFederationTest, CancelFansKCancelToEveryShard) {
   for (uint32_t s = 0; s < 3; ++s) {
     EXPECT_EQ(nodes[s]->service->Stats().cancelled, 1u) << "shard " << s;
   }
+}
+
+TEST(CoordFederationTest, ShardHostResolvableOnlyAfterStartupIsReached) {
+  // A resolver failure when the coordinator starts (its DNS not up yet)
+  // must not take the shard down for good: every failed dial looks the
+  // host up again off the loop, and a later redial uses the answer.
+  ClusterFixture fx;
+  std::vector<ShardEndpoint> endpoints;
+  for (auto& node : fx.nodes) {
+    endpoints.push_back(ShardEndpoint{"shard.invalid", node->server->port()});
+  }
+  auto named = ShardMap::FromEndpoints(std::move(endpoints));
+  ASSERT_TRUE(named.ok());
+  std::atomic<bool> resolvable{false};
+  std::atomic<int> lookups{0};
+  CoordServer::CoordOptions options = fx.CoordServerOptions();
+  options.backoff_initial_ms = 10.0;
+  options.backoff_max_ms = 20.0;
+  options.resolve = [&](const std::string& host,
+                        int port) -> Result<sockaddr_in> {
+    lookups.fetch_add(1);
+    if (!resolvable.load()) {
+      return Status::InvalidArgument("cannot resolve " + host);
+    }
+    return net::ResolveIPv4("127.0.0.1", port);
+  };
+  CoordServer coordinator(*named, options);
+  ASSERT_TRUE(coordinator.Start().ok());
+  const int at_startup = lookups.load();
+  EXPECT_EQ(at_startup, static_cast<int>(kClusterShards));
+  auto fed = net::Client::Connect("127.0.0.1", coordinator.port());
+  auto single = net::Client::Connect("127.0.0.1", fx.all_server->port());
+  ASSERT_TRUE(fed.ok() && single.ok());
+
+  const QueryRequest req = MakeRequest(fx, 0);
+  auto down = (*fed)->Query(req);
+  ASSERT_TRUE(down.ok()) << down.status().ToString();
+  EXPECT_FALSE(down->status.ok());
+  EXPECT_NE(down->status.ToString().find("cannot resolve"), std::string::npos)
+      << down->status.ToString();
+  // The failed dial started a fresh lookup.
+  EXPECT_TRUE(WaitFor([&] { return lookups.load() > at_startup; }));
+
+  resolvable.store(true);
+  Result<QueryResponse> up = Status::Internal("no attempt");
+  EXPECT_TRUE(WaitFor([&] {
+    up = (*fed)->Query(req);
+    return up.ok() && up->status.ok();
+  })) << (up.ok() ? up->status : up.status()).ToString();
+  auto b = (*single)->Query(req);
+  ASSERT_TRUE(up.ok() && b.ok());
+  EXPECT_EQ(up->matches, b->matches);
+  coordinator.Stop();
 }
 
 }  // namespace

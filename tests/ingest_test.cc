@@ -19,10 +19,13 @@
 #include <vector>
 
 #include "baseline/brute_force.h"
+#include "bench_util/process_io.h"
 #include "common/rng.h"
 #include "fault_kvstore.h"
 #include "service/catalog.h"
 #include "service/query_service.h"
+#include "service/service_stats.h"
+#include "storage/file_kvstore.h"
 #include "storage/mem_kvstore.h"
 #include "storage/minikv.h"
 #include "ts/generator.h"
@@ -315,6 +318,95 @@ TEST(IngestTest, AppendWritesOnlyTheGrownTailChunks) {
       catalog.ReplaceSeries("s", GenerateSynthetic(1000, &rng)).ok());
   EXPECT_EQ(store.puts_with_prefix(data_ns), 0u);
   EXPECT_EQ(store.puts_with_prefix("series/s/d2/"), (1000 + 127) / 128);
+}
+
+/// One 1000-point append to a 2000-point series in a FileKvStore-backed
+/// catalog that also holds `bystander_points` points of other series.
+struct AppendBytes {
+  uint64_t written = 0;        // bytes the append wrote (to any file)
+  uint64_t file_growth = 0;    // bytes the append added to the store file
+  uint64_t commit_bytes = 0;   // CommitBreakdown::bytes_written
+  uint64_t compactions = 0;    // compactions the append triggered
+  double flip_ms = 0.0;
+  double flush_ms = 0.0;
+};
+
+AppendBytes MeasureAppend(size_t bystander_points, const std::string& tag) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / ("kvm_wamp_" + tag))
+          .string();
+  std::filesystem::remove(path);
+  AppendBytes out;
+  {
+    auto opened = FileKvStore::Open(path);
+    EXPECT_TRUE(opened.ok());
+    FileKvStore& file = **opened;
+    Catalog catalog(&file);
+    StatsRegistry stats;
+    catalog.SetStatsRegistry(&stats);
+    Rng rng(77);
+    // Bystanders in 1M-point series, so both sizes share their shape.
+    for (size_t done = 0, i = 0; done < bystander_points; ++i) {
+      const size_t n = std::min<size_t>(bystander_points - done, 1'000'000);
+      EXPECT_TRUE(catalog
+                      .CreateSeries("by" + std::to_string(i),
+                                    GenerateSynthetic(n, &rng))
+                      .ok());
+      done += n;
+    }
+    // The appended-to series draws from its own generator: the same values
+    // (and so the same index rows) at both sizes.
+    rng = Rng(78);
+    EXPECT_TRUE(
+        catalog.CreateSeries("hot", GenerateSynthetic(2000, &rng)).ok());
+    // Start from a dead-byte-free log so one append cannot reach the
+    // compaction trigger.
+    EXPECT_TRUE(file.Compact().ok());
+
+    const TimeSeries tail = GenerateSynthetic(1000, &rng);
+    const uint64_t before = file.FileBytes();
+    const uint64_t compactions = file.Gauge("compactions_total").value_or(0);
+    stats.Reset();
+    const uint64_t written = ProcessBytesWritten();
+    EXPECT_TRUE(catalog.AppendSeries("hot", tail.values()).ok());
+    out.written = ProcessBytesWritten() - written;
+    const ServiceStatsSnapshot snap = stats.Snapshot();
+    out.file_growth = file.FileBytes() - before;
+    out.commit_bytes = snap.commit_bytes;
+    out.compactions = file.Gauge("compactions_total").value_or(0) - compactions;
+    out.flip_ms = snap.commit_flip_ms;
+    out.flush_ms = snap.commit_flush_ms;
+    EXPECT_NE(stats.ToText().find("kvmatch_commit_flush_ms_total"),
+              std::string::npos);
+  }
+  std::filesystem::remove(path);
+  return out;
+}
+
+TEST(IngestTest, AppendBytesWrittenDoNotGrowWithTheStore) {
+  // Byte-level O(appended): between compactions a FileKvStore commit
+  // appends only its staged rows, so what one append writes is the same
+  // whether the rest of the catalog holds 1 MB or 32 MB. Counted as bytes
+  // written, not file growth: a store that rewrote itself would grow the
+  // file by as little.
+  const AppendBytes small = MeasureAppend(1'000'000 / 8, "small");
+  const AppendBytes large = MeasureAppend(32'000'000 / 8, "large");
+  for (const AppendBytes* m : {&small, &large}) {
+    EXPECT_EQ(m->compactions, 0u);
+    EXPECT_GT(m->commit_bytes, 0u);
+    EXPECT_GT(m->file_growth, 0u);
+    // Appended, nothing rewritten (slack for writes a sanitizer runtime
+    // may make on its own).
+    EXPECT_GE(m->written, m->file_growth);
+    EXPECT_LT(m->written - m->file_growth, 4096u);
+    EXPECT_LT(m->written, 4 * m->commit_bytes);
+    EXPECT_GT(m->flush_ms, 0.0);
+    EXPECT_LE(m->flush_ms, m->flip_ms);
+  }
+  const uint64_t diff = small.written > large.written
+                            ? small.written - large.written
+                            : large.written - small.written;
+  EXPECT_LE(diff, 4096u) << small.written << " vs " << large.written;
 }
 
 // ---- The acceptance scenario: mutations racing an 8-thread query load ----

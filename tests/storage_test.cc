@@ -7,6 +7,8 @@
 #include <map>
 #include <string>
 
+#include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/event_log.h"
 #include "common/rng.h"
 #include "storage/block.h"
@@ -530,6 +532,381 @@ TEST(FileKvStoreTest, FileBytesGrowsWithData) {
   ASSERT_TRUE((*r)->Put("k", std::string(10000, 'x')).ok());
   ASSERT_TRUE((*r)->Flush().ok());
   EXPECT_GT((*r)->FileBytes(), 10000u);
+  std::remove(path.c_str());
+}
+
+// ---- FileKvStore as an append-only segment log ----
+
+std::string ReadFileBytes(const std::string& path) {
+  std::FILE* fp = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(fp, nullptr);
+  std::string out;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), fp)) > 0) out.append(buf, n);
+  std::fclose(fp);
+  return out;
+}
+
+void WriteFileBytes(const std::string& path, std::string_view bytes) {
+  std::FILE* fp = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(fp, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), fp), bytes.size());
+  std::fclose(fp);
+}
+
+std::map<std::string, std::string> ScanAll(const KvStore& store) {
+  std::map<std::string, std::string> out;
+  for (auto it = store.Scan("", ""); it->Valid(); it->Next()) {
+    EXPECT_TRUE(it->status().ok());
+    out[std::string(it->key())] = std::string(it->value());
+  }
+  return out;
+}
+
+std::unique_ptr<FileKvStore> OpenFile(const std::string& path) {
+  auto r = FileKvStore::Open(path);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? std::move(r).value() : nullptr;
+}
+
+TEST(FileKvStoreTest, FlushAppendsOnlyTheStagedWrites) {
+  const std::string path = TempPath("kvm_file_append");
+  std::remove(path.c_str());
+  auto store = OpenFile(path);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(store->Put(Key(i), std::string(500, 'a' + i % 26)).ok());
+  }
+  ASSERT_TRUE(store->Flush().ok());
+  const std::string before = ReadFileBytes(path);
+  ASSERT_TRUE(store->Put(Key(7), "new").ok());
+  ASSERT_TRUE(store->Delete(Key(8)).ok());
+  ASSERT_TRUE(store->Flush().ok());
+  const std::string after = ReadFileBytes(path);
+  // The earlier bytes are untouched and the new segment is small: one
+  // value, two keys and the framing.
+  ASSERT_GT(after.size(), before.size());
+  EXPECT_EQ(after.substr(0, before.size()), before);
+  EXPECT_LT(after.size() - before.size(), 100u);
+  EXPECT_EQ(store->Gauge("segments"), 2u);
+  EXPECT_EQ(store->Gauge("compactions_total"), 0u);
+  EXPECT_GT(store->Gauge("dead_bytes"), 500u);  // shadowed + deleted
+  std::remove(path.c_str());
+}
+
+TEST(FileKvStoreTest, TornTailAtEveryOffsetReopensAtThePreviousFlush) {
+  const std::string path = TempPath("kvm_file_torn");
+  std::remove(path.c_str());
+  std::map<std::string, std::string> first;
+  {
+    auto store = OpenFile(path);
+    // Enough live bytes that the last segment's dead bytes stay under
+    // the compaction trigger.
+    for (int i = 0; i < 400; ++i) {
+      const std::string v = std::to_string(i * 7919) + std::string(100, 'v');
+      ASSERT_TRUE(store->Put(Key(i), v).ok());
+      first[Key(i)] = v;
+    }
+    ASSERT_TRUE(store->Flush().ok());
+    // The last segment: new keys, an overwrite and deletes.
+    ASSERT_TRUE(store->Put(Key(100), "fresh").ok());
+    ASSERT_TRUE(store->Put(Key(3), "overwritten").ok());
+    ASSERT_TRUE(store->Delete(Key(4)).ok());
+    ASSERT_TRUE(store->DeleteRange(Key(10), Key(13)).ok());
+    const uint64_t previous = store->FileBytes();
+    ASSERT_TRUE(store->Flush().ok());
+    ASSERT_EQ(store->Gauge("compactions_total"), 0u);
+    ASSERT_GT(store->FileBytes(), previous);
+  }
+  const std::string whole = ReadFileBytes(path);
+  // Where the last segment starts: reopen the first segment alone.
+  uint64_t first_end = 0;
+  {
+    std::remove(path.c_str());
+    auto store = OpenFile(path);
+    for (const auto& [k, v] : first) ASSERT_TRUE(store->Put(k, v).ok());
+    ASSERT_TRUE(store->Flush().ok());
+    first_end = store->FileBytes();
+  }
+  ASSERT_LT(first_end, whole.size());
+  ASSERT_EQ(whole.substr(0, first_end), ReadFileBytes(path));
+
+  for (uint64_t cut = first_end; cut < whole.size(); ++cut) {
+    WriteFileBytes(path, std::string_view(whole).substr(0, cut));
+    {
+      auto store = OpenFile(path);
+      ASSERT_NE(store, nullptr) << "cut at " << cut;
+      ASSERT_EQ(ScanAll(*store), first) << "cut at " << cut;
+      EXPECT_EQ(store->FileBytes(), first_end);
+      // The next append replaces the torn tail.
+      ASSERT_TRUE(store->Put("zz-after", "x").ok());
+      ASSERT_TRUE(store->Flush().ok());
+    }
+    auto store = OpenFile(path);
+    ASSERT_NE(store, nullptr) << "cut at " << cut;
+    auto expected = first;
+    expected["zz-after"] = "x";
+    ASSERT_EQ(ScanAll(*store), expected) << "cut at " << cut;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FileKvStoreTest, CorruptCompleteSegmentIsCorruptionNotATornTail) {
+  const std::string path = TempPath("kvm_file_mid_corrupt");
+  std::remove(path.c_str());
+  uint64_t first_end = 0;
+  {
+    auto store = OpenFile(path);
+    for (int i = 0; i < 20; ++i) ASSERT_TRUE(store->Put(Key(i), "v").ok());
+    ASSERT_TRUE(store->Flush().ok());
+    first_end = store->FileBytes();
+    ASSERT_TRUE(store->Put(Key(50), "w").ok());
+    ASSERT_TRUE(store->Flush().ok());
+  }
+  const std::string whole = ReadFileBytes(path);
+  // A flipped byte in the first segment's meta block, then in the second
+  // segment's header (its length field).
+  for (const uint64_t at : {first_end - 30, first_end + 10}) {
+    std::string damaged = whole;
+    damaged[at] = static_cast<char>(damaged[at] ^ 0x40);
+    WriteFileBytes(path, damaged);
+    auto r = FileKvStore::Open(path);
+    ASSERT_FALSE(r.ok()) << "flip at " << at;
+    EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FileKvStoreTest, ZeroedTailOfAnInterruptedFlushIsATornTail) {
+  // A power cut during a Flush can leave the file grown but the new
+  // blocks reading as zeros. Nothing there was acknowledged, so the store
+  // opens at the previous Flush, like a short last segment.
+  const std::string path = TempPath("kvm_file_zero_tail");
+  std::remove(path.c_str());
+  std::map<std::string, std::string> first;
+  uint64_t first_end = 0;
+  {
+    auto store = OpenFile(path);
+    for (int i = 0; i < 40; ++i) {
+      first[Key(i)] = std::string(64, 'a' + i % 26);
+      ASSERT_TRUE(store->Put(Key(i), first[Key(i)]).ok());
+    }
+    ASSERT_TRUE(store->Flush().ok());
+    first_end = store->FileBytes();
+    ASSERT_TRUE(store->Put(Key(90), "last").ok());
+    ASSERT_TRUE(store->Flush().ok());
+  }
+  const std::string whole = ReadFileBytes(path);
+  constexpr size_t kFooter = 20;
+  const auto zeroed = [&whole](uint64_t from, uint64_t to) {
+    std::string out = whole;
+    std::fill(out.begin() + static_cast<std::ptrdiff_t>(from),
+              out.begin() + static_cast<std::ptrdiff_t>(to), '\0');
+    return out;
+  };
+  struct Case {
+    const char* what;
+    std::string bytes;
+    std::map<std::string, std::string> expect;
+  };
+  const std::vector<Case> cases = {
+      {"last segment all zeros", zeroed(first_end, whole.size()), first},
+      {"last footer zeros", zeroed(whole.size() - kFooter, whole.size()),
+       first},
+      {"first Flush all zeros", std::string(whole.size(), '\0'), {}},
+      {"first Flush under a header of zeros", std::string(9, '\0'), {}},
+  };
+  for (const Case& c : cases) {
+    WriteFileBytes(path, c.bytes);
+    {
+      auto store = OpenFile(path);
+      ASSERT_NE(store, nullptr) << c.what;
+      EXPECT_EQ(ScanAll(*store), c.expect) << c.what;
+      ASSERT_TRUE(store->Put("zz-after", "x").ok());
+      ASSERT_TRUE(store->Flush().ok());
+    }
+    auto store = OpenFile(path);
+    ASSERT_NE(store, nullptr) << c.what;
+    auto expected = c.expect;
+    expected["zz-after"] = "x";
+    EXPECT_EQ(ScanAll(*store), expected) << c.what;
+  }
+
+  // A last segment whose footer survived but whose meta block reads as
+  // zeros fails its checksum: still Corruption.
+  WriteFileBytes(path, zeroed(whole.size() - kFooter - 8,
+                              whole.size() - kFooter));
+  auto r = FileKvStore::Open(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(FileKvStoreTest, OpenRemovesAStaleCompactionTmp) {
+  const std::string path = TempPath("kvm_file_stale_tmp");
+  std::remove(path.c_str());
+  WriteFileBytes(path + ".tmp", "half a compaction");
+  auto store = OpenFile(path);
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST(FileKvStoreTest, OpensTheSingleGenerationFormatAndConvertsOnFlush) {
+  // The format before the segment log: <varint klen><key><varint vlen>
+  // <value> entries, then a meta block of <key, value offset, value len>
+  // triples and a footer <meta offset><meta len><masked crc><magic>.
+  const std::string path = TempPath("kvm_file_legacy");
+  std::remove(path.c_str());
+  std::string file, meta;
+  const std::map<std::string, std::string> data = {
+      {"a", "alpha"}, {"b", std::string(300, 'b')}, {"c", ""}};
+  PutVarint64(&meta, data.size());
+  for (const auto& [k, v] : data) {
+    PutLengthPrefixed(&file, k);
+    PutVarint32(&file, static_cast<uint32_t>(v.size()));
+    PutLengthPrefixed(&meta, k);
+    PutVarint64(&meta, file.size());
+    PutVarint32(&meta, static_cast<uint32_t>(v.size()));
+    file.append(v);
+  }
+  const uint64_t meta_off = file.size();
+  file.append(meta);
+  PutFixed64(&file, meta_off);
+  PutFixed64(&file, meta.size());
+  PutFixed32(&file, crc32c::Mask(crc32c::Value(meta)));
+  PutFixed64(&file, 0x4b564d4649445831ull);
+  WriteFileBytes(path, file);
+
+  {
+    auto store = OpenFile(path);
+    ASSERT_NE(store, nullptr);
+    EXPECT_EQ(ScanAll(*store), data);
+    EXPECT_EQ(store->Gauge("segments"), 1u);
+    ASSERT_TRUE(store->Put("d", "delta").ok());
+    ASSERT_TRUE(store->Flush().ok());
+    EXPECT_GE(store->Gauge("compactions_total"), 1u);
+  }
+  auto store = OpenFile(path);
+  auto expected = data;
+  expected["d"] = "delta";
+  EXPECT_EQ(ScanAll(*store), expected);
+  EXPECT_LE(store->Gauge("segments"), 2u);  // rewritten (+ appended)
+  std::remove(path.c_str());
+}
+
+TEST(FileKvStoreTest, ScanIteratorReadsItsSnapshotAcrossACompaction) {
+  const std::string path = TempPath("kvm_file_scan_compact");
+  std::remove(path.c_str());
+  auto store = OpenFile(path);
+  std::map<std::string, std::string> before;
+  for (int i = 0; i < 100; ++i) {
+    const std::string v = "v" + std::to_string(i) + std::string(100, 'x');
+    ASSERT_TRUE(store->Put(Key(i), v).ok());
+    before[Key(i)] = v;
+  }
+  ASSERT_TRUE(store->Flush().ok());
+  auto it = store->Scan("", "");
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(it->key(), Key(0));  // read one entry before the rewrite
+
+  for (int i = 0; i < 100; i += 2) ASSERT_TRUE(store->Put(Key(i), "y").ok());
+  ASSERT_TRUE(store->DeleteRange(Key(50), "").ok());
+  ASSERT_TRUE(store->Flush().ok());
+  ASSERT_TRUE(store->Compact().ok());
+  EXPECT_GE(store->Gauge("compactions_total"), 1u);
+  EXPECT_EQ(store->Gauge("segments"), 1u);
+  EXPECT_EQ(store->Gauge("dead_bytes"), 0u);
+
+  std::map<std::string, std::string> seen;
+  for (; it->Valid(); it->Next()) {
+    ASSERT_TRUE(it->status().ok());
+    seen[std::string(it->key())] = std::string(it->value());
+  }
+  ASSERT_TRUE(it->status().ok());
+  EXPECT_EQ(seen, before);
+  EXPECT_EQ(ScanAll(*store).size(), 50u);
+  std::remove(path.c_str());
+}
+
+TEST(FileKvStoreTest, RandomOpsMatchMemKvStoreAcrossReopensAndCompactions) {
+  // Model test: MemKvStore is the reference for what Get sees (staged
+  // writes included) and, after each Flush, for what Scan sees. A reopen
+  // loses the staged writes, so the reference resets to the last Flush.
+  const std::string path = TempPath("kvm_file_model");
+  std::remove(path.c_str());
+  auto store = OpenFile(path);
+  auto model = std::make_unique<MemKvStore>();
+  std::map<std::string, std::string> flushed;
+  Rng rng(20261019);
+  auto random_key = [&rng] {
+    return Key(static_cast<int>(rng.UniformInt(0, 199)));
+  };
+  auto random_value = [&rng] {
+    return std::string(static_cast<size_t>(rng.UniformInt(0, 300)),
+                       static_cast<char>('a' + rng.UniformInt(0, 25)));
+  };
+  auto both = [&](auto&& op) {
+    ASSERT_TRUE(op(*store).ok());
+    ASSERT_TRUE(op(*model).ok());
+  };
+  uint64_t forced = 0;
+  uint64_t compactions = 0;  // across store instances
+  for (int step = 0; step < 3000; ++step) {
+    const int64_t roll = rng.UniformInt(0, 99);
+    if (roll < 45) {
+      const std::string k = random_key(), v = random_value();
+      both([&](KvStore& s) { return s.Put(k, v); });
+    } else if (roll < 60) {
+      const std::string k = random_key();
+      both([&](KvStore& s) { return s.Delete(k); });
+    } else if (roll < 66) {
+      std::string lo = random_key(), hi = random_key();
+      if (hi < lo) std::swap(lo, hi);
+      both([&](KvStore& s) { return s.DeleteRange(lo, hi); });
+    } else if (roll < 80) {
+      WriteBatch batch;
+      for (int64_t i = rng.UniformInt(1, 6); i > 0; --i) {
+        const int64_t kind = rng.UniformInt(0, 5);
+        if (kind == 0) {
+          std::string lo = random_key(), hi = random_key();
+          if (hi < lo) std::swap(lo, hi);
+          batch.DeleteRange(lo, hi);
+        } else if (kind == 1) {
+          batch.Delete(random_key());
+        } else {
+          batch.Put(random_key(), random_value());
+        }
+      }
+      both([&](KvStore& s) { return s.Apply(batch); });
+    } else if (roll < 92) {
+      ASSERT_TRUE(store->Flush().ok());
+      flushed = ScanAll(*model);
+      ASSERT_EQ(ScanAll(*store), flushed) << "step " << step;
+    } else if (roll < 96) {
+      compactions += store->Gauge("compactions_total").value_or(0);
+      store.reset();
+      store = OpenFile(path);
+      ASSERT_NE(store, nullptr);
+      model = std::make_unique<MemKvStore>();
+      for (const auto& [k, v] : flushed) ASSERT_TRUE(model->Put(k, v).ok());
+      ASSERT_EQ(ScanAll(*store), flushed) << "reopen at step " << step;
+    } else {
+      ASSERT_TRUE(store->Compact().ok());
+      ++forced;
+      ASSERT_EQ(ScanAll(*store), flushed) << "compaction at step " << step;
+    }
+    // Get agrees with the reference on a random key, staged writes too.
+    const std::string k = random_key();
+    std::string got, want;
+    const Status gs = store->Get(k, &got);
+    const Status ws = model->Get(k, &want);
+    ASSERT_EQ(gs.ok(), ws.ok()) << k << " at step " << step;
+    if (gs.ok()) ASSERT_EQ(got, want) << k << " at step " << step;
+  }
+  compactions += store->Gauge("compactions_total").value_or(0);
+  EXPECT_GT(forced, 0u);
+  // Overwrite-heavy traffic also crosses the dead-byte trigger by itself.
+  EXPECT_GT(compactions, forced);
   std::remove(path.c_str());
 }
 
