@@ -385,7 +385,8 @@ int main(int argc, char** argv) {
   if (commits > 0) {
     const double stage_total = snap.commit_journal_ms + snap.commit_data_ms +
                                snap.commit_index_ms + snap.commit_header_ms +
-                               snap.commit_flip_ms;
+                               snap.commit_flip_ms + snap.commit_install_ms +
+                               snap.commit_retire_ms;
     std::printf("\ncommit spans (%llu commits: %llu append, %llu replace):\n",
                 static_cast<unsigned long long>(commits),
                 static_cast<unsigned long long>(snap.commits_append),
@@ -403,7 +404,14 @@ int main(int argc, char** argv) {
     add_stage("index", snap.commit_index_ms);
     add_stage("header", snap.commit_header_ms);
     add_stage("flip", snap.commit_flip_ms);
+    add_stage("install", snap.commit_install_ms);
+    add_stage("retire", snap.commit_retire_ms);
     spans.Print();
+    const double latency_total = snap.commit_latency_hist.sum_ms;
+    std::printf("stages cover %.1f%% of the %.1f ms commit latency\n",
+                latency_total > 0.0 ? 100.0 * stage_total / latency_total
+                                    : 0.0,
+                latency_total);
     std::printf("of the flip, store Flush: %.1f ms total, %.3f ms mean\n",
                 snap.commit_flush_ms, snap.commit_flush_ms / commits);
     const uint64_t raw_bytes = 8ull * points_ingested.load();

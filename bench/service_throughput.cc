@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
     }
     Rng rng(flags.seed + 78);
     heavy_req.query =
-        ExtractQuery((*session)->series(), heavy_n / 3, heavy_m, 0.05, &rng);
+        ExtractQuery((*session)->series().values(), heavy_n / 3, heavy_m, 0.05, &rng);
   }
 
   std::printf("\nintra-query parallel verify: one cNSM-ED query, %zu "

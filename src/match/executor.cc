@@ -43,27 +43,23 @@ Status ValidateSegments(std::span<const double> q,
 }  // namespace
 
 Result<std::unique_ptr<QueryExecutor>> QueryExecutor::Create(
-    const TimeSeries& series, const PrefixStats& prefix,
-    std::span<const double> q, const QueryParams& params,
+    SeriesView series, std::span<const double> q, const QueryParams& params,
     std::vector<QuerySegment> segments, const MatchOptions& options) {
   KVMATCH_RETURN_NOT_OK(ValidateSegments(q, segments));
   return std::unique_ptr<QueryExecutor>(new QueryExecutor(
-      series, prefix, q, params, std::move(segments), options));
+      series, q, params, std::move(segments), options));
 }
 
-QueryExecutor::QueryExecutor(const TimeSeries& series,
-                             const PrefixStats& prefix,
-                             std::span<const double> q,
+QueryExecutor::QueryExecutor(SeriesView series, std::span<const double> q,
                              const QueryParams& params,
                              std::vector<QuerySegment> segments,
                              const MatchOptions& options)
     : series_(series),
-      prefix_(prefix),
       q_(q.begin(), q.end()),
       params_(params),
       options_(options),
       segments_(std::move(segments)),
-      verifier_(series, prefix) {
+      verifier_(series) {
   // The window-range computation and the reorder estimate scan are
   // phase-1 work: time them so phase1_ms matches the pre-executor
   // accounting.

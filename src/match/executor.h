@@ -12,9 +12,9 @@
 //               run on many workers and their results concatenate in
 //               offset order.
 //
-// The single-shot wrappers (MatchWithSegments, KvMatcher, KvMatchDp,
-// Session::Query) are thin layers over Run(), so every caller shares one
-// implementation and the executor is the only place phase logic lives.
+// The single-shot wrappers (KvMatcher, KvMatchDp, Session::Query) are
+// thin layers over Run(), so every caller shares one implementation and
+// the executor is the only place phase logic lives.
 #ifndef KVMATCH_MATCH_EXECUTOR_H_
 #define KVMATCH_MATCH_EXECUTOR_H_
 
@@ -31,12 +31,11 @@ namespace kvmatch {
 class QueryExecutor {
  public:
   /// Validates the segmentation and precomputes the per-window mean
-  /// ranges and probe order. `series`, `prefix` and the segment indexes
-  /// must outlive the executor; `q` is copied (verify slices may run on
-  /// other threads after the caller's buffer is gone).
+  /// ranges and probe order. The arrays `series` views and the segment
+  /// indexes must outlive the executor; `q` is copied (verify slices may
+  /// run on other threads after the caller's buffer is gone).
   static Result<std::unique_ptr<QueryExecutor>> Create(
-      const TimeSeries& series, const PrefixStats& prefix,
-      std::span<const double> q, const QueryParams& params,
+      SeriesView series, std::span<const double> q, const QueryParams& params,
       std::vector<QuerySegment> segments, const MatchOptions& options = {});
 
   // ---- Phase 1: per-window probe steps ----
@@ -106,15 +105,14 @@ class QueryExecutor {
   static constexpr size_t kDefaultSlicePositions = 2048;
 
  private:
-  QueryExecutor(const TimeSeries& series, const PrefixStats& prefix,
-                std::span<const double> q, const QueryParams& params,
+  QueryExecutor(SeriesView series, std::span<const double> q,
+                const QueryParams& params,
                 std::vector<QuerySegment> segments,
                 const MatchOptions& options);
 
   void FinishPhase1();
 
-  const TimeSeries& series_;
-  const PrefixStats& prefix_;
+  SeriesView series_;
   std::vector<double> q_;
   QueryParams params_;
   MatchOptions options_;

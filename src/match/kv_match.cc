@@ -13,27 +13,14 @@ Result<IntervalList> ComputeCandidateSet(
     const TimeSeries& series, std::span<const double> q,
     const QueryParams& params, const std::vector<QuerySegment>& segments,
     MatchStats* stats, const MatchOptions& options, const ExecContext& ctx) {
-  // Phase 1 never touches the prefix oracle; an empty one outliving the
-  // executor keeps the reference valid without building O(n) sums.
-  const PrefixStats no_prefix;
-  auto executor = QueryExecutor::Create(series, no_prefix, q, params,
-                                        segments, options);
+  // Phase 1 never reads the prefix arrays, so none are built.
+  auto executor = QueryExecutor::Create(SeriesView(series.values()), q,
+                                        params, segments, options);
   if (!executor.ok()) return executor.status();
   Status st = (*executor)->RunPhase1(ctx);
   if (stats != nullptr) stats->Add((*executor)->stats());
   KVMATCH_RETURN_NOT_OK(st);
   return (*executor)->candidates();
-}
-
-Result<std::vector<MatchResult>> MatchWithSegments(
-    const TimeSeries& series, const PrefixStats& prefix,
-    std::span<const double> q, const QueryParams& params,
-    const std::vector<QuerySegment>& segments, MatchStats* stats,
-    const MatchOptions& options, const ExecContext& ctx) {
-  auto executor =
-      QueryExecutor::Create(series, prefix, q, params, segments, options);
-  if (!executor.ok()) return executor.status();
-  return (*executor)->Run(ctx, stats);
 }
 
 Result<std::vector<MatchResult>> KvMatcher::Match(
@@ -48,8 +35,10 @@ Result<std::vector<MatchResult>> KvMatcher::Match(
   for (size_t i = 0; i < p; ++i) {
     segments[i] = {&index_, i * w, w};
   }
-  return MatchWithSegments(series_, prefix_, q, params, segments, stats,
-                           options, ctx);
+  auto executor =
+      QueryExecutor::Create(series_, q, params, segments, options);
+  if (!executor.ok()) return executor.status();
+  return (*executor)->Run(ctx, stats);
 }
 
 }  // namespace kvmatch

@@ -41,17 +41,6 @@ struct QuerySegment {
   size_t length = 0;  // must equal index->window()
 };
 
-/// Runs Algorithm 1 over the given segmentation (a thin wrapper over
-/// QueryExecutor — see match/executor.h for the resumable form). Returns
-/// matches ordered by offset. Fails with InvalidArgument on an
-/// empty/invalid segmentation, and with Cancelled/DeadlineExceeded when
-/// `ctx` aborts the run at a phase-1 probe or phase-2 slice boundary.
-Result<std::vector<MatchResult>> MatchWithSegments(
-    const TimeSeries& series, const PrefixStats& prefix,
-    std::span<const double> q, const QueryParams& params,
-    const std::vector<QuerySegment>& segments, MatchStats* stats = nullptr,
-    const MatchOptions& options = {}, const ExecContext& ctx = {});
-
 /// Computes only the final candidate set CS (phase 1), for experiments
 /// that count candidates without verification (Table VII).
 Result<IntervalList> ComputeCandidateSet(
@@ -66,7 +55,7 @@ class KvMatcher {
   /// `series`, `prefix` and `index` must outlive the matcher.
   KvMatcher(const TimeSeries& series, const PrefixStats& prefix,
             const KvIndex& index)
-      : series_(series), prefix_(prefix), index_(index) {}
+      : series_(series, prefix), index_(index) {}
 
   /// Processes any of the four query types. |Q| must be >= the index
   /// window length.
@@ -77,8 +66,7 @@ class KvMatcher {
                                          const ExecContext& ctx = {}) const;
 
  private:
-  const TimeSeries& series_;
-  const PrefixStats& prefix_;
+  SeriesView series_;
   const KvIndex& index_;
 };
 

@@ -16,9 +16,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
-Verifier::Verifier(const TimeSeries& series, const PrefixStats& prefix)
-    : series_(series), prefix_(prefix) {}
-
 Status Verifier::VerifyCancellable(std::span<const double> q,
                                    const QueryParams& params,
                                    const IntervalList& cs,
@@ -67,9 +64,9 @@ Status Verifier::VerifyCancellable(std::span<const double> q,
   simd::AlignedBuffer s_hat;   // normalized candidate scratch
   std::vector<double> means, stds;
   std::vector<double> cb;      // LB_Keogh contributions
-  const std::vector<double>& xs = series_.values();
-  const std::span<const double> psum = prefix_.prefix_sums();
-  const std::span<const double> psq = prefix_.prefix_squares();
+  const std::span<const double> xs = series_.values();
+  const std::span<const double> psum = series_.prefix_sums();
+  const std::span<const double> psq = series_.prefix_squares();
 
   size_t deadline_tick = 0;
   for (const auto& wi : cs.intervals()) {

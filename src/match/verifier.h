@@ -20,8 +20,7 @@
 #include "index/interval.h"
 #include "match/exec_context.h"
 #include "match/query_types.h"
-#include "ts/stats_oracle.h"
-#include "ts/time_series.h"
+#include "ts/series_buffer.h"
 
 namespace kvmatch {
 
@@ -47,8 +46,12 @@ struct VerifyOptions {
 /// Results are ordered by offset. `stats` may be null.
 class Verifier {
  public:
-  /// `prefix` must be built over `series`; it supplies O(1) µ_S / σ_S.
-  Verifier(const TimeSeries& series, const PrefixStats& prefix);
+  /// `series` carries the prefix arrays that supply O(1) µ_S / σ_S; the
+  /// arrays it views must outlive the verifier.
+  explicit Verifier(SeriesView series) : series_(series) {}
+  /// `prefix` must be built over `series`.
+  Verifier(const TimeSeries& series, const PrefixStats& prefix)
+      : Verifier(SeriesView(series, prefix)) {}
 
   /// Cancellable form: appends matches to `*results` in offset order and
   /// checks `ctx` per candidate — the cancel token (relaxed atomic) on
@@ -76,8 +79,7 @@ class Verifier {
   static constexpr size_t kDeadlineStride = 64;
 
  private:
-  const TimeSeries& series_;
-  const PrefixStats& prefix_;
+  SeriesView series_;
 };
 
 }  // namespace kvmatch

@@ -20,8 +20,8 @@ Result<std::unique_ptr<QueryExecutor>> KvMatchDp::MakeExecutor(
     segments.push_back({index, offset, len});
     offset += len;
   }
-  return QueryExecutor::Create(series_, prefix_, q, params,
-                               std::move(segments), options);
+  return QueryExecutor::Create(series_, q, params, std::move(segments),
+                               options);
 }
 
 Result<std::vector<MatchResult>> KvMatchDp::Match(

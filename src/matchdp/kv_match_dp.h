@@ -18,11 +18,13 @@ namespace kvmatch {
 
 class KvMatchDp {
  public:
-  /// `indexes[k]` must have window wu·2^k over `series`; all referenced
-  /// objects must outlive the matcher.
+  /// `indexes[k]` must have window wu·2^k over `series`; the indexes and
+  /// the arrays `series` views must outlive the matcher.
+  KvMatchDp(SeriesView series, std::vector<const KvIndex*> indexes)
+      : series_(series), indexes_(std::move(indexes)) {}
   KvMatchDp(const TimeSeries& series, const PrefixStats& prefix,
             std::vector<const KvIndex*> indexes)
-      : series_(series), prefix_(prefix), indexes_(std::move(indexes)) {}
+      : KvMatchDp(SeriesView(series, prefix), std::move(indexes)) {}
 
   /// Processes any of the four query types; |Q| must be >= wu.
   Result<std::vector<MatchResult>> Match(std::span<const double> q,
@@ -48,8 +50,7 @@ class KvMatchDp {
   const std::vector<const KvIndex*>& indexes() const { return indexes_; }
 
  private:
-  const TimeSeries& series_;
-  const PrefixStats& prefix_;
+  SeriesView series_;
   std::vector<const KvIndex*> indexes_;
 };
 

@@ -3,8 +3,14 @@
 // once, then interactively issue any of the four query types, top-k
 // variants, and re-tuned (ε, α, β, ρ) knobs against the same index stack.
 //
-// Owns everything: the series, its prefix-stat oracle, the KV-index stack
-// and (optionally) the backing KvStore. Cheap to query repeatedly.
+// Owns the KV-index stack and a length-bounded share of a SeriesBuffer
+// (the series values plus prefix sums). Cheap to query repeatedly.
+//
+// Successive epochs of an appended series share one buffer: Extend builds
+// the next epoch by writing only the appended slots, so a commit's
+// in-memory cost is O(appended), not O(series). Open is the one route that
+// reads a series back from the store (a cold open after eviction or a
+// restart).
 //
 // Once constructed, queries are const and touch only immutable state plus
 // the internally synchronized index row caches, so a session can serve any
@@ -21,6 +27,7 @@
 #include "match/top_k.h"
 #include "matchdp/kv_match_dp.h"
 #include "storage/kvstore.h"
+#include "ts/series_buffer.h"
 #include "ts/series_store.h"
 
 namespace kvmatch {
@@ -75,6 +82,25 @@ class Session {
     return Open(store, "", Options());
   }
 
+  /// Opens the index stack persisted under `ns` (as Open does) over
+  /// `series`, the values the namespace's header describes, which the
+  /// caller holds already (it just wrote them): nothing is read back.
+  /// Corruption if the header's length differs.
+  static Result<std::unique_ptr<Session>> OpenWithSeries(
+      const KvStore* store, const std::string& ns, Options options,
+      std::span<const double> series);
+
+  /// The session of the epoch persisted under `ns`, whose series is this
+  /// session's followed by `tail`: opens that index stack and extends
+  /// this session's buffer by `tail` in place (a one-time copy if the
+  /// buffer is full or already extended past this session). This session
+  /// keeps answering as before. Corruption if the header's length is not
+  /// series().size() + tail.size().
+  Result<std::unique_ptr<Session>> Extend(const KvStore* store,
+                                          const std::string& ns,
+                                          Options options,
+                                          std::span<const double> tail) const;
+
   /// ε-match with any of the four query types. |Q| must be >= wu. `ctx`
   /// makes the run abortable (Cancelled / DeadlineExceeded) at phase-1
   /// probe and phase-2 slice boundaries.
@@ -97,7 +123,8 @@ class Session {
       std::span<const double> q, const QueryParams& params,
       const MatchOptions& options = {}) const;
 
-  const TimeSeries& series() const { return series_; }
+  /// The series values and prefix arrays; valid while the session lives.
+  SeriesView series() const { return series_; }
   size_t num_indexes() const { return indexes_.size(); }
   /// Total encoded bytes across the index stack (in-memory form only).
   uint64_t IndexBytes() const;
@@ -105,14 +132,25 @@ class Session {
   /// sums, and the index stack (meta only for store-backed indexes).
   /// Drives the Catalog's eviction budget.
   uint64_t MemoryBytes() const;
+  /// The series share of MemoryBytes(): values + prefix arrays up to this
+  /// session's length.
+  uint64_t SeriesBytes() const;
+  /// The buffer this session reads, for callers that must count a buffer
+  /// shared by several epochs once.
+  const SeriesBuffer* buffer() const { return buffer_.get(); }
 
  private:
   Session() = default;
 
-  Status FinishInit(Options options);  // builds prefix stats + matcher
+  /// Reads the index stack persisted under `ns` (store-backed, row cache
+  /// per `options`) and checks the header's length against `length`.
+  Status OpenIndexes(const KvStore* store, const std::string& ns,
+                     Options options, size_t length);
+  /// Adopts `buffer`'s first `length` points and builds the matcher.
+  void Finish(std::shared_ptr<SeriesBuffer> buffer, size_t length);
 
-  TimeSeries series_;
-  PrefixStats prefix_;
+  std::shared_ptr<SeriesBuffer> buffer_;
+  SeriesView series_;
   std::vector<KvIndex> indexes_;
   std::vector<const KvIndex*> index_ptrs_;
   std::unique_ptr<KvMatchDp> matcher_;

@@ -312,12 +312,14 @@ void Catalog::SweepOrphans() {
 void Catalog::PurgeNs(const std::shared_ptr<NsHandle>& handle) {
   // Serialized against ingest commits: purges run on whichever thread
   // drops the last reference, and the store requires one writer at a
-  // time. Best-effort — a failed purge only leaks dead keys (which the
-  // next open's orphan sweep reclaims).
+  // time. Staged only: the next commit's Flush (or the catalog's
+  // shutdown Flush) makes it durable, so a query thread dropping the last
+  // pin never pays an fdatasync or a compaction. Best-effort — a purge
+  // lost to a failure or a crash only leaks dead keys, which the next
+  // open's orphan sweep reclaims.
   std::lock_guard<std::mutex> write_lock(*handle->write_mu);
   (void)handle->store->DeleteRange(handle->prefix,
                                    PrefixUpperBound(handle->prefix));
-  (void)handle->store->Flush();
 }
 
 void Catalog::ReleaseNs(std::shared_ptr<NsHandle> handle) {
@@ -367,7 +369,10 @@ std::shared_ptr<const Session> Catalog::WrapSession(
 void Catalog::RetireOpenEntryLocked(const std::string& name) {
   auto it = open_.find(name);
   if (it == open_.end()) return;
-  retired_.push_back({it->second.session, it->second.bytes});
+  const Session& session = *it->second.session;
+  const uint64_t series_bytes = session.SeriesBytes();
+  retired_.push_back({it->second.session, name, session.buffer(),
+                      series_bytes, it->second.bytes - series_bytes});
   open_bytes_ -= it->second.bytes;
   open_.erase(it);
 }
@@ -375,9 +380,9 @@ void Catalog::RetireOpenEntryLocked(const std::string& name) {
 // ---- Write path ----
 
 Status Catalog::CommitEpochLocked(const std::string& name,
-                                  const SeriesIngestor& ingestor,
-                                  CommitKind kind,
-                                  uint64_t appended_points) {
+                                  SeriesIngestor* ingestor, CommitKind kind,
+                                  std::span<const double> values) {
+  const uint64_t appended_points = values.size();
   using Clock = std::chrono::steady_clock;
   const auto ms_since = [](Clock::time_point t0) {
     return std::chrono::duration<double, std::milli>(Clock::now() - t0)
@@ -390,6 +395,8 @@ Status Catalog::CommitEpochLocked(const std::string& name,
   uint64_t prior_epoch = 0;
   uint64_t prior_length = 0;
   std::string prior_data_ns;
+  // The live epoch's cached session, which an append extends in place.
+  std::shared_ptr<const Session> base;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto dir = directory_.find(name);
@@ -399,6 +406,10 @@ Status Catalog::CommitEpochLocked(const std::string& name,
       prior_epoch = dir->second.epoch;
       prior_length = dir->second.length;
       prior_data_ns = dir->second.data_ns;
+    }
+    auto open = open_.find(name);
+    if (kind == CommitKind::kAppend && open != open_.end()) {
+      base = open->second.session;
     }
   }
 
@@ -437,8 +448,8 @@ Status Catalog::CommitEpochLocked(const std::string& name,
     const auto journal_t0 = Clock::now();
     Status st = store_->Put(JournalKey(name), EncodeJournal(rec));
     journal_ms = ms_since(journal_t0);
-    if (st.ok()) st = ingestor.Commit(store_, ns, data_ns, from_offset,
-                                      &batches, &breakdown);
+    if (st.ok()) st = ingestor->Commit(store_, ns, data_ns, from_offset,
+                                       &batches, &breakdown);
     if (st.ok()) {
       // The flip: one atomic batch makes the new epoch the durable truth.
       const auto flip_t0 = Clock::now();
@@ -488,8 +499,19 @@ Status Catalog::CommitEpochLocked(const std::string& name,
     // roll-forward.
     (void)store_->Delete(JournalKey(name));
   }
+  ingestor->TrimCommitted();
 
-  auto session = Session::Open(store_, ns, layout);
+  // Install: the new epoch's session comes from the values in hand —
+  // the live session extended by the appended tail, or the series a
+  // create/replace was given. Only an append whose live session was
+  // evicted reads the series back from the store.
+  const auto install_t0 = Clock::now();
+  Result<std::unique_ptr<Session>> session =
+      kind != CommitKind::kAppend ? Session::OpenWithSeries(store_, ns,
+                                                            layout, values)
+      : base != nullptr           ? base->Extend(store_, ns, layout, values)
+                                  : Session::Open(store_, ns, layout);
+  base.reset();
   if (!session.ok()) return session.status();
 
   std::shared_ptr<NsHandle> old_handle;
@@ -522,7 +544,7 @@ Status Catalog::CommitEpochLocked(const std::string& name,
     handle->prefix = ns;
     handle->parent = std::move(data_handle);
     handles_[name] = handle;
-    directory_[name] = {layout, epoch, ingestor.size(), data_ns};
+    directory_[name] = {layout, epoch, ingestor->size(), data_ns};
 
     // The previous generation leaves the open cache but stays accounted
     // (and alive) until its pinned readers finish.
@@ -530,11 +552,14 @@ Status Catalog::CommitEpochLocked(const std::string& name,
     CacheLocked(name,
                 WrapSession(std::move(handle), std::move(session).value()));
   }
+  const double install_ms = ms_since(install_t0);
   // Outside mu_: retiring may purge inline. The superseded data
   // generation is retired first — the old epoch still holds a reference,
   // so its keys survive until that epoch (and its readers) are gone.
+  const auto retire_t0 = Clock::now();
   if (old_data_handle != nullptr) RetireNs(old_data_handle);
   if (old_handle != nullptr) RetireNs(old_handle);
+  const double retire_ms = ms_since(retire_t0);
 
   const double total_ms = ms_since(commit_t0);
   const char* kind_name = kind == CommitKind::kCreate    ? "create"
@@ -554,6 +579,8 @@ Status Catalog::CommitEpochLocked(const std::string& name,
     record.header_ms = breakdown.header_ms;
     record.flip_ms = flip_ms;
     record.flush_ms = flush_ms;
+    record.install_ms = install_ms;
+    record.retire_ms = retire_ms;
     record.chunk_rows = breakdown.chunk_rows;
     record.index_rows = breakdown.index_rows;
     record.bytes_written = breakdown.bytes_written;
@@ -579,7 +606,9 @@ Status Catalog::CommitEpochLocked(const std::string& name,
                                  .FNum("index_ms", breakdown.index_ms)
                                  .FNum("header_ms", breakdown.header_ms)
                                  .FNum("flip_ms", flip_ms)
-                                 .FNum("flush_ms", flush_ms));
+                                 .FNum("flush_ms", flush_ms)
+                                 .FNum("install_ms", install_ms)
+                                 .FNum("retire_ms", retire_ms));
     if (slow) {
       options_.event_log->Emit(
           Event{kEventSlowCommit, name}
@@ -608,9 +637,9 @@ Status Catalog::CreateSeries(const std::string& name, TimeSeries series) {
   }
   auto ingestor = std::make_unique<SeriesIngestor>(options_.session);
   ingestor->Append(series.values());
-  KVMATCH_RETURN_NOT_OK(CommitEpochLocked(name, *ingestor,
+  KVMATCH_RETURN_NOT_OK(CommitEpochLocked(name, ingestor.get(),
                                           CommitKind::kCreate,
-                                          series.size()));
+                                          series.values()));
   ingestors_[name] = std::move(ingestor);
   return Status::OK();
 }
@@ -640,8 +669,8 @@ Status Catalog::AppendSeries(const std::string& name,
     iit = ingestors_.emplace(name, std::move(ingestor)).first;
   }
   iit->second->Append(values);
-  Status st = CommitEpochLocked(name, *iit->second, CommitKind::kAppend,
-                                values.size());
+  Status st = CommitEpochLocked(name, iit->second.get(), CommitKind::kAppend,
+                                values);
   // On failure the ingestor holds points the store never saw; drop it so
   // the next append reseeds from the last committed epoch.
   if (!st.ok()) ingestors_.erase(name);
@@ -664,8 +693,8 @@ Status Catalog::ReplaceSeries(const std::string& name, TimeSeries series) {
   }
   auto ingestor = std::make_unique<SeriesIngestor>(dir.layout);
   ingestor->Append(series.values());
-  Status st = CommitEpochLocked(name, *ingestor, CommitKind::kReplace,
-                                series.size());
+  Status st = CommitEpochLocked(name, ingestor.get(), CommitKind::kReplace,
+                                series.values());
   if (st.ok()) {
     ingestors_[name] = std::move(ingestor);
   } else {
@@ -703,12 +732,17 @@ Status Catalog::DropSeries(const std::string& name) {
     WriteBatch batch;
     batch.Delete(DirectoryKey(name));
     KVMATCH_RETURN_NOT_OK(store_->Apply(batch));
-    KVMATCH_RETURN_NOT_OK(store_->Flush());
   }
   // Data generation first: the epoch still references it, so its keys
-  // outlive every reader that can still reach them.
+  // outlive every reader that can still reach them. Purges of unpinned
+  // namespaces are staged here and made durable by the drop's own Flush,
+  // after the directory delete they follow.
   if (old_data_handle != nullptr) RetireNs(old_data_handle);
   if (old_handle != nullptr) RetireNs(old_handle);
+  {
+    std::lock_guard<std::mutex> write_lock(*store_write_mu_);
+    KVMATCH_RETURN_NOT_OK(store_->Flush());
+  }
   if (stats_ != nullptr) {
     stats_->RecordEpochRetired();
     stats_->RecordSeriesDropped(name);
@@ -786,8 +820,25 @@ uint64_t Catalog::RetiredBytesLocked() const {
                                   return r.session.expired();
                                 }),
                  retired_.end());
+  // Epochs of one series share their series buffer: count each buffer
+  // once, and not at all when the open entry already counts it.
   uint64_t bytes = 0;
-  for (const auto& r : retired_) bytes += r.bytes;
+  std::vector<std::pair<const SeriesBuffer*, uint64_t>> buffers;
+  for (const auto& r : retired_) {
+    bytes += r.other_bytes;
+    auto open = open_.find(r.name);
+    if (open != open_.end() && open->second.session->buffer() == r.buffer) {
+      continue;
+    }
+    auto it = std::find_if(buffers.begin(), buffers.end(),
+                           [&](const auto& b) { return b.first == r.buffer; });
+    if (it == buffers.end()) {
+      buffers.emplace_back(r.buffer, r.series_bytes);
+    } else {
+      it->second = std::max(it->second, r.series_bytes);
+    }
+  }
+  for (const auto& [buffer, series_bytes] : buffers) bytes += series_bytes;
   return bytes;
 }
 
@@ -795,8 +846,9 @@ void Catalog::EvictOverBudgetLocked(const std::string& protect) {
   if (options_.memory_budget_bytes == 0) return;
   // Retired-but-pinned generations count against the budget but cannot be
   // evicted (their readers hold them); the pressure lands on open entries.
-  const uint64_t retired_bytes = RetiredBytesLocked();
-  while (open_bytes_ + retired_bytes > options_.memory_budget_bytes &&
+  // Re-measured per victim: evicting an open entry hands the series
+  // buffer it shares with a pinned epoch over to the retired count.
+  while (open_bytes_ + RetiredBytesLocked() > options_.memory_budget_bytes &&
          open_.size() > 1) {
     auto victim = open_.end();
     for (auto it = open_.begin(); it != open_.end(); ++it) {

@@ -24,10 +24,11 @@
 // CreateSeries / AppendSeries / ReplaceSeries / DropSeries build the next
 // epoch beside it, flip the directory row, and retire the old epoch. A
 // retired epoch's keys are range-deleted from the store the moment its
-// last pinned Session is released — queries never observe torn or
-// mixed-epoch state. (Shared data rows are safe to read concurrently with
-// an append because appends only add chunks or grow the final partial one;
-// a reader pinned on an older header stops at its own length.)
+// last pinned Session is released (staged; the next commit's Flush makes
+// the delete durable) — queries never observe torn or mixed-epoch state.
+// (Shared data rows are safe to read concurrently with an append because
+// appends only add chunks or grow the final partial one; a reader pinned
+// on an older header stops at its own length.)
 //
 // Crash safety: every commit writes an intent record to journal/<name>
 // first and clears it last. If the process dies mid-commit, the next
@@ -41,7 +42,11 @@
 // IncrementalIndexBuilder state warm across appends, so extending a series
 // by k points updates the index rows for the affected windows instead of
 // rebuilding from scratch (the builder state is rebuilt lazily from the
-// current session if it was dropped).
+// current session if it was dropped). The new epoch's session extends the
+// cached live session's SeriesBuffer by the appended points in place, so
+// installing it is O(appended) too; epochs sharing a buffer count it once
+// against the memory budget. Only an append whose live session was
+// evicted reopens the series from the store.
 //
 // Sessions opened on first query are cached; when the cached sessions'
 // resident footprint — including retired generations still pinned by
@@ -253,7 +258,12 @@ class Catalog {
   /// memory budget sees both generations.
   struct RetiredEntry {
     std::weak_ptr<const Session> session;
-    uint64_t bytes = 0;
+    std::string name;
+    /// Identity only (alive while `session` is): the buffer this epoch
+    /// may share with the open epoch and other retired ones.
+    const SeriesBuffer* buffer = nullptr;
+    uint64_t series_bytes = 0;  // counted once per buffer
+    uint64_t other_bytes = 0;   // index stack + row caches
   };
 
   static std::string SeriesNs(const std::string& name, uint64_t epoch) {
@@ -289,12 +299,14 @@ class Catalog {
       std::shared_ptr<NsHandle> handle, std::unique_ptr<Session> session);
 
   /// Builds the next epoch from `ingestor` under the commit journal,
-  /// flips the directory row and installs the session, retiring `name`'s
-  /// previous epoch (and, for kReplace, its data generation). Caller must
-  /// hold ingest_mu_. `appended_points` is for stats only.
-  Status CommitEpochLocked(const std::string& name,
-                           const SeriesIngestor& ingestor, CommitKind kind,
-                           uint64_t appended_points);
+  /// flips the directory row, trims the ingestor's committed values and
+  /// installs the session, retiring `name`'s previous epoch (and, for
+  /// kReplace, its data generation). `values` is the whole series for
+  /// kCreate / kReplace and the appended tail for kAppend; the new
+  /// session is built from it (an append extends the cached live
+  /// session), not read back. Caller must hold ingest_mu_.
+  Status CommitEpochLocked(const std::string& name, SeriesIngestor* ingestor,
+                           CommitKind kind, std::span<const double> values);
 
   // ---- Recovery at open (constructor only; no concurrency yet). ----
 

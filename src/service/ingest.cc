@@ -20,12 +20,24 @@ SeriesIngestor::SeriesIngestor(Session::Options options)
 }
 
 void SeriesIngestor::Append(std::span<const double> values) {
-  series_.Extend(values);
+  tail_.insert(tail_.end(), values.begin(), values.end());
+  size_ += values.size();
   for (auto& builder : builders_) builder.AppendChunk(values);
 }
 
+void SeriesIngestor::TrimCommitted() {
+  const size_t chunk = options_.series_chunk;
+  const size_t keep_from = (size_ / chunk) * chunk;
+  if (keep_from == tail_offset_) return;
+  // A fresh vector, not erase(): the create commit's full copy must
+  // actually be released.
+  tail_ = std::vector<double>(tail_.begin() + (keep_from - tail_offset_),
+                              tail_.end());
+  tail_offset_ = keep_from;
+}
+
 uint64_t SeriesIngestor::MemoryBytes() const {
-  uint64_t bytes = 8 * static_cast<uint64_t>(series_.size());
+  uint64_t bytes = 8 * static_cast<uint64_t>(tail_.capacity());
   for (const auto& builder : builders_) bytes += builder.ApproxMemoryBytes();
   return bytes;
 }
@@ -62,12 +74,16 @@ Status SeriesIngestor::Commit(KvStore* store, const std::string& epoch_ns,
   uint64_t chunk_rows = 0;
   const size_t chunk = options_.series_chunk;
   const size_t first_chunk =
-      (std::min<size_t>(from_offset, series_.size()) / chunk) * chunk;
-  for (size_t offset = first_chunk; offset < series_.size();
-       offset += chunk) {
-    const size_t len = std::min(chunk, series_.size() - offset);
-    SeriesStore::PutChunk(&batch, data_ns, offset,
-                          series_.Subsequence(offset, len));
+      (std::min<size_t>(from_offset, size_) / chunk) * chunk;
+  if (first_chunk < tail_offset_) {
+    return Status::Internal(
+        "ingest state no longer holds offset " + std::to_string(first_chunk));
+  }
+  for (size_t offset = first_chunk; offset < size_; offset += chunk) {
+    const size_t len = std::min(chunk, size_ - offset);
+    SeriesStore::PutChunk(
+        &batch, data_ns, offset,
+        std::span<const double>(tail_).subspan(offset - tail_offset_, len));
     ++chunk_rows;
     if (batch.ApproximateBytes() >= kBatchTargetBytes) {
       KVMATCH_RETURN_NOT_OK(flush_batch());
@@ -93,8 +109,8 @@ Status SeriesIngestor::Commit(KvStore* store, const std::string& epoch_ns,
   // succeeds once every byte it will read exists. The header lives in the
   // epoch namespace but redirects chunk reads to the shared data rows.
   const auto header_t0 = Clock::now();
-  SeriesStore::PutHeaderRedirect(&batch, epoch_ns + "data/", series_.size(),
-                                 chunk, data_ns);
+  SeriesStore::PutHeaderRedirect(&batch, epoch_ns + "data/", size_, chunk,
+                                 data_ns);
   KVMATCH_RETURN_NOT_OK(flush_batch());
 
   if (batches_committed != nullptr) *batches_committed = batches;

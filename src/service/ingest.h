@@ -12,6 +12,11 @@
 // are grouped into bounded WriteBatches so each chunk of the series lands
 // atomically and peak batch memory stays flat.
 //
+// The ingestor holds no copy of the whole series: besides the level
+// builders it keeps only the values from the last committed chunk boundary
+// on (the partial last chunk a commit must rewrite, plus what was appended
+// since). TrimCommitted drops the rest once a commit is durable.
+//
 // The Catalog drives one SeriesIngestor per mutable series and commits
 // every generation under a fresh epoch namespace; the ingestor itself
 // knows nothing about epochs or the commit journal.
@@ -27,7 +32,6 @@
 #include "index/index_builder.h"
 #include "matchdp/session.h"
 #include "storage/kvstore.h"
-#include "ts/time_series.h"
 
 namespace kvmatch {
 
@@ -51,11 +55,15 @@ class SeriesIngestor {
   /// Streams `values` into the logical series and every index level.
   void Append(std::span<const double> values);
 
-  size_t size() const { return series_.size(); }
-  const TimeSeries& series() const { return series_; }
+  size_t size() const { return size_; }
 
-  /// Approximate resident bytes of the ingest state (series values +
-  /// per-level builder rows).
+  /// Drops the retained values before the last chunk boundary: call once
+  /// a Commit covering them is durable. Later commits must then start at
+  /// or after that boundary.
+  void TrimCommitted();
+
+  /// Approximate resident bytes of the ingest state (retained tail values
+  /// + per-level builder rows).
   uint64_t MemoryBytes() const;
 
   /// Target encoded bytes per commit batch (data chunks are grouped up to
@@ -66,7 +74,8 @@ class SeriesIngestor {
   /// the chunk containing `from_offset` (pass 0 to write the whole
   /// series, or the previously committed length to write only the grown
   /// tail — the partial last chunk is rewritten, full older chunks are
-  /// not), then the index stack under epoch_ns + "idx/", and — in the
+  /// not; Internal if TrimCommitted already dropped that
+  /// chunk), then the index stack under epoch_ns + "idx/", and — in the
   /// final batch — the series header under epoch_ns + "data/" with a
   /// redirect to `data_ns`, so the epoch only becomes openable once it is
   /// complete. `batches_committed` (may be null) reports how many
@@ -81,7 +90,9 @@ class SeriesIngestor {
 
  private:
   Session::Options options_;
-  TimeSeries series_;
+  size_t size_ = 0;         // points appended in total
+  size_t tail_offset_ = 0;  // chunk-aligned offset of tail_[0]
+  std::vector<double> tail_;  // values [tail_offset_, size_)
   std::vector<IncrementalIndexBuilder> builders_;  // one per index level
 };
 

@@ -193,6 +193,8 @@ void StatsRegistry::RecordCommit(const CommitRecord& rec) {
   add(commit_header_ns_, ToNs(rec.header_ms));
   add(commit_flip_ns_, ToNs(rec.flip_ms));
   add(commit_flush_ns_, ToNs(rec.flush_ms));
+  add(commit_install_ns_, ToNs(rec.install_ms));
+  add(commit_retire_ns_, ToNs(rec.retire_ms));
   add(commit_chunk_rows_, rec.chunk_rows);
   add(commit_index_rows_, rec.index_rows);
   add(commit_bytes_, rec.bytes_written);
@@ -280,6 +282,8 @@ ServiceStatsSnapshot StatsRegistry::Snapshot() const {
   snap.commit_header_ms = ns_to_ms(commit_header_ns_);
   snap.commit_flip_ms = ns_to_ms(commit_flip_ns_);
   snap.commit_flush_ms = ns_to_ms(commit_flush_ns_);
+  snap.commit_install_ms = ns_to_ms(commit_install_ns_);
+  snap.commit_retire_ms = ns_to_ms(commit_retire_ns_);
   snap.commit_chunk_rows =
       commit_chunk_rows_.load(std::memory_order_relaxed);
   snap.commit_index_rows =
@@ -368,6 +372,8 @@ void StatsRegistry::Reset() {
   commit_header_ns_.store(0, std::memory_order_relaxed);
   commit_flip_ns_.store(0, std::memory_order_relaxed);
   commit_flush_ns_.store(0, std::memory_order_relaxed);
+  commit_install_ns_.store(0, std::memory_order_relaxed);
+  commit_retire_ns_.store(0, std::memory_order_relaxed);
   commit_chunk_rows_.store(0, std::memory_order_relaxed);
   commit_index_rows_.store(0, std::memory_order_relaxed);
   commit_bytes_.store(0, std::memory_order_relaxed);
@@ -546,7 +552,11 @@ std::string StatsToText(const ServiceStatsSnapshot& snap) {
             snap.commit_header_ms);
   EmitGauge(&out, "kvmatch_commit_stage_ms_total{stage=\"flip\"}",
             snap.commit_flip_ms);
-  // Part of the flip stage above, not a sixth stage.
+  EmitGauge(&out, "kvmatch_commit_stage_ms_total{stage=\"install\"}",
+            snap.commit_install_ms);
+  EmitGauge(&out, "kvmatch_commit_stage_ms_total{stage=\"retire\"}",
+            snap.commit_retire_ms);
+  // Part of the flip stage above, not a stage of its own.
   EmitGauge(&out, "kvmatch_commit_flush_ms_total", snap.commit_flush_ms);
   EmitCounter(&out, "kvmatch_commit_chunk_rows_total",
               snap.commit_chunk_rows);

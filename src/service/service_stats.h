@@ -59,6 +59,8 @@ struct CommitRecord {
   double header_ms = 0.0;   // header flip batch (SeriesStore header)
   double flip_ms = 0.0;     // directory-row flip + flush
   double flush_ms = 0.0;    // the flip's store Flush (append + fdatasync)
+  double install_ms = 0.0;  // build/extend + cache the new epoch's session
+  double retire_ms = 0.0;   // retire (and purge) the superseded epoch
   uint64_t chunk_rows = 0;
   uint64_t index_rows = 0;
   uint64_t bytes_written = 0;
@@ -149,6 +151,8 @@ struct ServiceStatsSnapshot {
   double commit_header_ms = 0.0;
   double commit_flip_ms = 0.0;
   double commit_flush_ms = 0.0;  // the Flush share of commit_flip_ms
+  double commit_install_ms = 0.0;
+  double commit_retire_ms = 0.0;
   uint64_t commit_chunk_rows = 0;
   uint64_t commit_index_rows = 0;
   uint64_t commit_bytes = 0;
@@ -311,6 +315,8 @@ class StatsRegistry {
   std::atomic<uint64_t> commit_header_ns_{0};
   std::atomic<uint64_t> commit_flip_ns_{0};
   std::atomic<uint64_t> commit_flush_ns_{0};
+  std::atomic<uint64_t> commit_install_ns_{0};
+  std::atomic<uint64_t> commit_retire_ns_{0};
   std::atomic<uint64_t> commit_chunk_rows_{0};
   std::atomic<uint64_t> commit_index_rows_{0};
   std::atomic<uint64_t> commit_bytes_{0};

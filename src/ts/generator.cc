@@ -105,7 +105,7 @@ TimeSeries GenerateUcrLike(size_t n, Rng* rng) {
   return TimeSeries(std::move(out));
 }
 
-std::vector<double> ExtractQuery(const TimeSeries& x, size_t offset,
+std::vector<double> ExtractQuery(std::span<const double> x, size_t offset,
                                  size_t len, double noise_std, Rng* rng) {
   std::vector<double> q(len);
   for (size_t i = 0; i < len; ++i) {

@@ -52,8 +52,14 @@ TimeSeries GenerateUcrLike(size_t n, Rng* rng);
 /// Extracts the subsequence X(offset, len) and perturbs every point with
 /// Gaussian noise of standard deviation `noise_std`. With noise_std = 0 the
 /// query matches exactly (distance 0) at `offset`.
-std::vector<double> ExtractQuery(const TimeSeries& x, size_t offset,
+std::vector<double> ExtractQuery(std::span<const double> x, size_t offset,
                                  size_t len, double noise_std, Rng* rng);
+inline std::vector<double> ExtractQuery(const TimeSeries& x, size_t offset,
+                                        size_t len, double noise_std,
+                                        Rng* rng) {
+  return ExtractQuery(std::span<const double>(x.values()), offset, len,
+                      noise_std, rng);
+}
 
 /// Applies offset shifting and amplitude scaling to a query:
 /// q'_i = scale * q_i + shift. Used to produce cNSM workloads whose raw

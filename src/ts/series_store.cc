@@ -95,11 +95,18 @@ Result<SeriesStore> SeriesStore::Open(const KvStore* store,
 
 Result<std::vector<double>> SeriesStore::ReadRange(size_t offset,
                                                    size_t len) const {
+  std::vector<double> out(len);
+  KVMATCH_RETURN_NOT_OK(ReadRangeInto(offset, out));
+  return out;
+}
+
+Status SeriesStore::ReadRangeInto(size_t offset,
+                                  std::span<double> out) const {
+  const size_t len = out.size();
   if (offset + len > length_) {
     return Status::OutOfRange("range past end of series");
   }
-  std::vector<double> out(len);
-  if (len == 0) return out;
+  if (len == 0) return Status::OK();
   const size_t first_chunk = (offset / chunk_size_) * chunk_size_;
   const size_t last_chunk = ((offset + len - 1) / chunk_size_) * chunk_size_;
   std::string end_key = ChunkKey(ns_, last_chunk);
@@ -127,7 +134,7 @@ Result<std::vector<double>> SeriesStore::ReadRange(size_t offset,
   if (expected <= last_chunk) {
     return Status::Corruption("series scan ended early");
   }
-  return out;
+  return Status::OK();
 }
 
 Result<TimeSeries> SeriesStore::ReadAll() const {

@@ -71,6 +71,9 @@ class SeriesStore {
   /// Reads values [offset, offset + len) with one ranged scan over the
   /// covering chunks. Fails with OutOfRange past the end.
   Result<std::vector<double>> ReadRange(size_t offset, size_t len) const;
+  /// ReadRange into caller-owned memory: values [offset, offset +
+  /// out.size()).
+  Status ReadRangeInto(size_t offset, std::span<double> out) const;
 
   /// Loads the whole series (convenience for index building).
   Result<TimeSeries> ReadAll() const;

@@ -5,6 +5,14 @@
 
 namespace kvmatch {
 
+void AccumulatePrefix(const double* values, size_t from, size_t to,
+                      double* sum, double* sq) {
+  for (size_t i = from; i < to; ++i) {
+    sum[i + 1] = sum[i] + values[i];
+    sq[i + 1] = sq[i] + values[i] * values[i];
+  }
+}
+
 PrefixStats::PrefixStats(const TimeSeries& series) {
   Build(std::span<const double>(series.values()));
 }
@@ -15,10 +23,7 @@ void PrefixStats::Build(std::span<const double> values) {
   const size_t n = values.size();
   sum_.assign(n + 1, 0.0);
   sq_.assign(n + 1, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    sum_[i + 1] = sum_[i] + values[i];
-    sq_[i + 1] = sq_[i] + values[i] * values[i];
-  }
+  AccumulatePrefix(values.data(), 0, n, sum_.data(), sq_.data());
 }
 
 double PrefixStats::WindowMean(size_t offset, size_t len) const {

@@ -14,6 +14,13 @@
 
 namespace kvmatch {
 
+/// The one recurrence every prefix array in the library is built with:
+/// fills sum[i + 1] and sq[i + 1] for i in [from, to) from values[i],
+/// starting at sum[from] / sq[from]. Arrays extended piecewise with it
+/// equal arrays built in one pass bit for bit.
+void AccumulatePrefix(const double* values, size_t from, size_t to,
+                      double* sum, double* sq);
+
 /// Prefix-sum oracle over a fixed series.
 class PrefixStats {
  public:

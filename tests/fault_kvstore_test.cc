@@ -15,6 +15,7 @@
 // Runs in the ASan+UBSan CI job; ctest label: crash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -204,7 +205,9 @@ bool MatchesState(Catalog* catalog, const OracleState& state) {
   for (const auto& [name, values] : state) {
     auto session = catalog->Acquire(name);
     if (!session.ok()) return false;
-    if ((*session)->series().values() != values) return false;
+    if (!std::ranges::equal((*session)->series().values(), values)) {
+      return false;
+    }
   }
   return true;
 }
@@ -377,7 +380,7 @@ TEST(FaultKvStoreTest, FailedAppendRollsBackAndRetrySucceeds) {
   {
     auto session = catalog.Acquire("s");
     ASSERT_TRUE(session.ok());
-    EXPECT_EQ((*session)->series().values(), v0);
+    EXPECT_TRUE(std::ranges::equal((*session)->series().values(), v0));
   }
   // ...and a healed retry lands the append cleanly.
   ASSERT_TRUE(catalog.AppendSeries("s", tail).ok());
@@ -385,7 +388,7 @@ TEST(FaultKvStoreTest, FailedAppendRollsBackAndRetrySucceeds) {
   full.insert(full.end(), tail.begin(), tail.end());
   auto session = catalog.Acquire("s");
   ASSERT_TRUE(session.ok());
-  EXPECT_EQ((*session)->series().values(), full);
+  EXPECT_TRUE(std::ranges::equal((*session)->series().values(), full));
   EXPECT_EQ(CountKeys(&base, "journal/"), 0u);
 }
 

@@ -7,9 +7,11 @@
 // install new epochs underneath it. Run under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <future>
 #include <memory>
@@ -310,7 +312,8 @@ TEST(IngestTest, AppendWritesOnlyTheGrownTailChunks) {
   full.Extend(ext.values());
   auto session = catalog.Acquire("s");
   ASSERT_TRUE(session.ok());
-  EXPECT_EQ((*session)->series().values(), full.values());
+  EXPECT_TRUE(
+      std::ranges::equal((*session)->series().values(), full.values()));
 
   // A replace starts a fresh data generation and leaves nothing shared.
   store.ResetLog();
@@ -578,6 +581,297 @@ TEST(IngestTest, EvictionNeverDestroysPinnedSnapshots) {
   EXPECT_EQ(failures.load(), 0);
   // The budget was honored (modulo the always-kept MRU entry).
   EXPECT_LE(catalog.cached_sessions(), 1u);
+}
+
+
+// ---- The install step: appends extend the live session in place ----
+
+bool SameBits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// The catalog's session for `name` equals a cold Session::Open of the
+/// same epoch bit for bit (values, prefix sums, prefix squares), and its
+/// answers for every query type equal the reopened session's exactly.
+void ExpectSameAsReopened(Catalog* catalog, KvStore* store,
+                          const std::string& name,
+                          const std::vector<double>& expected,
+                          const std::vector<double>& q, bool answers) {
+  auto live = catalog->Acquire(name);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  auto epoch = catalog->SeriesEpoch(name);
+  ASSERT_TRUE(epoch.ok());
+  auto reopened = Session::Open(
+      store, "series/" + name + "/e" + std::to_string(*epoch) + "/",
+      SmallOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const SeriesView a = (*live)->series();
+  const SeriesView b = (*reopened)->series();
+  ASSERT_TRUE(SameBits(a.values(), expected));
+  ASSERT_TRUE(SameBits(a.values(), b.values()));
+  ASSERT_TRUE(SameBits(a.prefix_sums(), b.prefix_sums()));
+  ASSERT_TRUE(SameBits(a.prefix_squares(), b.prefix_squares()));
+  if (!answers) return;
+  for (QueryType type : {QueryType::kRsmEd, QueryType::kRsmDtw,
+                         QueryType::kCnsmEd, QueryType::kCnsmDtw}) {
+    const QueryParams params{type, 3.5, 1.5, 3.0, 5};
+    auto got = (*live)->Query(q, params);
+    auto want = (*reopened)->Query(q, params);
+    ASSERT_TRUE(got.ok() && want.ok());
+    ASSERT_EQ(got->size(), want->size()) << static_cast<int>(type);
+    for (size_t i = 0; i < got->size(); ++i) {
+      EXPECT_EQ((*got)[i].offset, (*want)[i].offset);
+      EXPECT_EQ((*got)[i].distance, (*want)[i].distance);
+    }
+  }
+}
+
+TEST(IngestTest, ExtendedSessionEqualsReopenedEpochAcross300Appends) {
+  MemKvStore store;
+  Catalog catalog(&store, SmallCatalogOptions());
+  Rng rng(31);
+  const TimeSeries full = GenerateSynthetic(2000 + 300 * 24, &rng);
+  std::vector<double> expected(full.values().begin(),
+                               full.values().begin() + 2000);
+  ASSERT_TRUE(catalog.CreateSeries("s", TimeSeries(expected)).ok());
+  const auto q = ExtractQuery(full, 500, 120, 0.2, &rng);
+  ExpectSameAsReopened(&catalog, &store, "s", expected, q, true);
+  for (int append = 1; append <= 300; ++append) {
+    const size_t k = static_cast<size_t>(rng.UniformInt(1, 24));
+    const auto tail = full.Subsequence(expected.size(), k);
+    ASSERT_TRUE(catalog.AppendSeries("s", tail).ok());
+    expected.insert(expected.end(), tail.begin(), tail.end());
+    const bool answers = append == 1 || append == 23 || append == 300;
+    ExpectSameAsReopened(&catalog, &store, "s", expected, q, answers);
+    if (HasFatalFailure()) FAIL() << "after append " << append;
+  }
+  // Every retired epoch was purged: only the live one is left.
+  EXPECT_EQ(catalog.retired_sessions(), 0u);
+}
+
+TEST(IngestTest, FailedAppendThenRetryNeverExposesTheAbandonedTail) {
+  MemKvStore base;
+  FaultInjectingKvStore fault(&base);
+  Catalog catalog(&fault, SmallCatalogOptions());
+  Rng rng(32);
+  std::vector<double> expected = GenerateSynthetic(2000, &rng).values();
+  ASSERT_TRUE(catalog.CreateSeries("s", TimeSeries(expected)).ok());
+  const auto q = ExtractQuery(TimeSeries(expected), 400, 100, 0.2, &rng);
+  // One good append first, so the live session reads a buffer with spare
+  // capacity that an abandoned tail could land in.
+  const TimeSeries first = GenerateSynthetic(300, &rng);
+  ASSERT_TRUE(catalog.AppendSeries("s", first.values()).ok());
+  expected.insert(expected.end(), first.values().begin(),
+                  first.values().end());
+
+  // Fail the commit at every write op it issues, then retry with
+  // different values; nothing of the abandoned tail may surface.
+  for (uint64_t fail_after = 0; fail_after < 8; ++fail_after) {
+    auto pinned = catalog.Acquire("s");
+    ASSERT_TRUE(pinned.ok());
+    const TimeSeries abandoned = GenerateSynthetic(150, &rng);
+    fault.FailAfter(fail_after);
+    EXPECT_FALSE(catalog.AppendSeries("s", abandoned.values()).ok())
+        << "fail after " << fail_after;
+    fault.Heal();
+    EXPECT_TRUE(SameBits((*pinned)->series().values(), expected));
+
+    const TimeSeries retry = GenerateSynthetic(
+        static_cast<size_t>(rng.UniformInt(1, 200)), &rng);
+    ASSERT_TRUE(catalog.AppendSeries("s", retry.values()).ok());
+    expected.insert(expected.end(), retry.values().begin(),
+                    retry.values().end());
+    ExpectSameAsReopened(&catalog, &base, "s", expected, q,
+                         fail_after % 3 == 0);
+    EXPECT_TRUE(SameBits((*pinned)->series().values(),
+                         std::span<const double>(expected).first(
+                             (*pinned)->series().size())));
+  }
+}
+
+TEST(IngestTest, AppendAfterEvictionReopensFromTheStore) {
+  MemKvStore store;
+  Catalog::Options copts = SmallCatalogOptions();
+  copts.memory_budget_bytes = 1;  // only the most recent session stays
+  Catalog catalog(&store, copts);
+  Rng rng(33);
+  std::vector<double> a = GenerateSynthetic(3000, &rng).values();
+  const std::vector<double> b = GenerateSynthetic(3000, &rng).values();
+  ASSERT_TRUE(catalog.CreateSeries("a", TimeSeries(a)).ok());
+  ASSERT_TRUE(catalog.CreateSeries("b", TimeSeries(b)).ok());
+  ASSERT_TRUE(catalog.Acquire("b").ok());  // evicts "a"
+  ASSERT_EQ(catalog.cached_sessions(), 1u);
+
+  const auto q = ExtractQuery(TimeSeries(a), 1000, 100, 0.2, &rng);
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(catalog.Acquire("b").ok());  // "a" is cold again
+    const TimeSeries tail = GenerateSynthetic(400, &rng);
+    ASSERT_TRUE(catalog.AppendSeries("a", tail.values()).ok());
+    a.insert(a.end(), tail.values().begin(), tail.values().end());
+    ExpectSameAsReopened(&catalog, &store, "a", a, q, round == 2);
+    auto session = catalog.Acquire("a");
+    ASSERT_TRUE(session.ok());
+    const QueryParams params = EdParams(3.0);
+    auto got = (*session)->Query(q, params);
+    ASSERT_TRUE(got.ok());
+    EXPECT_TRUE(SameMatches(*got, BruteForceMatch(TimeSeries(a), q, params)));
+  }
+}
+
+TEST(IngestTest, BufferSharedByOpenAndPinnedEpochIsCountedOnce) {
+  MemKvStore store;
+  Catalog catalog(&store, SmallCatalogOptions());
+  Rng rng(34);
+  ASSERT_TRUE(
+      catalog.CreateSeries("s", GenerateSynthetic(4000, &rng)).ok());
+  ASSERT_TRUE(catalog.Acquire("s").ok());
+  // The first append outgrows the create's exact-size buffer...
+  ASSERT_TRUE(
+      catalog.AppendSeries("s", GenerateSynthetic(100, &rng).values()).ok());
+  auto pinned = catalog.Acquire("s");
+  ASSERT_TRUE(pinned.ok());
+  // ...the second extends it in place, under the pinned epoch.
+  ASSERT_TRUE(
+      catalog.AppendSeries("s", GenerateSynthetic(100, &rng).values()).ok());
+  auto live = catalog.Acquire("s");
+  ASSERT_TRUE(live.ok());
+  ASSERT_EQ((*live)->buffer(), (*pinned)->buffer());
+  ASSERT_EQ(catalog.retired_sessions(), 1u);
+
+  const uint64_t pinned_rest =
+      (*pinned)->MemoryBytes() - (*pinned)->SeriesBytes();
+  EXPECT_EQ(catalog.cached_bytes(), (*live)->MemoryBytes());
+  EXPECT_EQ(catalog.retired_bytes(), pinned_rest);
+  EXPECT_EQ(catalog.Gauges().resident_bytes,
+            (*live)->MemoryBytes() + pinned_rest);
+
+  // A later append that reallocates moves the open epoch off the shared
+  // buffer: the pinned epoch's series bytes count again.
+  ASSERT_TRUE(catalog.AppendSeries("s", GenerateSynthetic(5000, &rng).values())
+                  .ok());
+  live = catalog.Acquire("s");
+  ASSERT_TRUE(live.ok());
+  ASSERT_NE((*live)->buffer(), (*pinned)->buffer());
+  EXPECT_EQ(catalog.retired_bytes(), (*pinned)->MemoryBytes());
+  pinned->reset();
+  EXPECT_EQ(catalog.retired_bytes(), 0u);
+}
+
+TEST(IngestTest, InstallingAnEpochReadsNoSeriesData) {
+  MemKvStore store;
+  Catalog catalog(&store, SmallCatalogOptions());
+  Rng rng(37);
+  constexpr size_t kPoints = 50000;  // 400 KB of values
+  const auto bytes_read = [&] {
+    return catalog.storage_stats()->TakeSnapshot().bytes_read;
+  };
+  uint64_t before = bytes_read();
+  ASSERT_TRUE(
+      catalog.CreateSeries("s", GenerateSynthetic(kPoints, &rng)).ok());
+  // Create builds its session from the series it was given; only the
+  // header and the index levels' meta rows are read back.
+  EXPECT_LT(bytes_read() - before, 8 * kPoints / 10);
+  for (int i = 0; i < 5; ++i) {
+    before = bytes_read();
+    ASSERT_TRUE(
+        catalog.AppendSeries("s", GenerateSynthetic(1000, &rng).values())
+            .ok());
+    EXPECT_LT(bytes_read() - before, 8 * kPoints / 10) << "append " << i;
+  }
+}
+
+// ---- Satellite: purges are staged, not flushed ----
+
+TEST(IngestTest, CrashBetweenPurgeAndNextFlushReopensClean) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "kvm_ingest_purge").string();
+  std::filesystem::remove_all(path);
+  Rng rng(35);
+  std::vector<double> values = GenerateSynthetic(3000, &rng).values();
+  const TimeSeries tail = GenerateSynthetic(500, &rng);
+  std::string retired_prefix;
+  {
+    auto file = FileKvStore::Open(path);
+    ASSERT_TRUE(file.ok());
+    FaultInjectingKvStore fault(file->get());
+    Catalog catalog(&fault, SmallCatalogOptions());
+    ASSERT_TRUE(catalog.CreateSeries("s", TimeSeries(values)).ok());
+    retired_prefix =
+        "series/s/e" + std::to_string(*catalog.SeriesEpoch("s")) + "/";
+    const uint64_t before = fault.write_ops();
+    ASSERT_TRUE(catalog.AppendSeries("s", tail.values()).ok());
+    values.insert(values.end(), tail.values().begin(), tail.values().end());
+    // The purge of the superseded epoch was the commit's last write op
+    // and was only staged: the commit flushed once, before it.
+    EXPECT_GT(fault.write_ops(), before);
+    EXPECT_GT(CountKeys(file->get(), retired_prefix), 0u);
+    // Die before anything flushes the staged purge (the catalog's
+    // shutdown Flush included).
+    fault.CrashAfter(0);
+  }
+  {
+    auto file = FileKvStore::Open(path);
+    ASSERT_TRUE(file.ok());
+    Catalog catalog(file->get(), SmallCatalogOptions());
+    // The lost purge left the old epoch behind; the open reclaimed it
+    // (the append's journal clear was lost with it, so recovery rolls the
+    // commit forward) and the committed append is intact.
+    const Catalog::RecoveryReport& report = catalog.recovery_report();
+    EXPECT_EQ(report.epochs_rolled_back, 0u);
+    EXPECT_GE(report.epochs_rolled_forward + report.orphans_swept, 1u);
+    EXPECT_EQ(CountKeys(file->get(), retired_prefix), 0u);
+    auto session = catalog.Acquire("s");
+    ASSERT_TRUE(session.ok());
+    EXPECT_TRUE(SameBits((*session)->series().values(), values));
+  }
+  {
+    auto file = FileKvStore::Open(path);
+    ASSERT_TRUE(file.ok());
+    Catalog catalog(file->get(), SmallCatalogOptions());
+    EXPECT_TRUE(catalog.recovery_report().clean());
+    EXPECT_EQ(*catalog.SeriesLength("s"), values.size());
+  }
+  std::filesystem::remove_all(path);
+}
+
+TEST(IngestTest, AppendCommitFlushesOnceAndAttributesInstallAndRetire) {
+  MemKvStore store;
+  Catalog catalog(&store, SmallCatalogOptions());
+  StatsRegistry stats;
+  catalog.SetStatsRegistry(&stats);
+  Rng rng(36);
+  ASSERT_TRUE(catalog.CreateSeries("s", GenerateSynthetic(3000, &rng)).ok());
+  ASSERT_TRUE(catalog.Acquire("s").ok());
+  const auto flushes = [&] {
+    return catalog.storage_stats()
+        ->TakeSnapshot()
+        .ops[KvStoreStats::kFlush]
+        .count;
+  };
+  const uint64_t before = flushes();
+  constexpr int kAppends = 5;
+  for (int i = 0; i < kAppends; ++i) {
+    ASSERT_TRUE(
+        catalog.AppendSeries("s", GenerateSynthetic(200, &rng).values())
+            .ok());
+  }
+  EXPECT_EQ(flushes() - before, static_cast<uint64_t>(kAppends));
+
+  const ServiceStatsSnapshot snap = stats.Snapshot();
+  EXPECT_GT(snap.commit_install_ms, 0.0);
+  EXPECT_GT(snap.commit_retire_ms, 0.0);
+  const double stages = snap.commit_journal_ms + snap.commit_data_ms +
+                        snap.commit_index_ms + snap.commit_header_ms +
+                        snap.commit_flip_ms + snap.commit_install_ms +
+                        snap.commit_retire_ms;
+  EXPECT_LE(stages, snap.commit_latency_hist.sum_ms * 1.0001);
+  const std::string text = stats.ToText();
+  EXPECT_NE(text.find("kvmatch_commit_stage_ms_total{stage=\"install\"}"),
+            std::string::npos);
+  EXPECT_NE(text.find("kvmatch_commit_stage_ms_total{stage=\"retire\"}"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -243,6 +243,51 @@ TEST(StatsRegistryTest, IngestPointsAreAttributedPerSeries) {
             std::string::npos);
 }
 
+TEST(StatsRegistryTest, CommitStagesCoverInstallAndRetire) {
+  StatsRegistry reg;
+  CommitRecord rec;
+  rec.kind = "append";
+  rec.journal_ms = 0.25;
+  rec.data_ms = 0.5;
+  rec.index_ms = 2.0;
+  rec.header_ms = 0.125;
+  rec.flip_ms = 1.0;
+  rec.flush_ms = 0.75;
+  rec.install_ms = 0.5;
+  rec.retire_ms = 0.25;
+  rec.total_ms = 4.625;  // every stage but the flush, which is in the flip
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 250;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kPerThread; ++i) reg.RecordCommit(rec);
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  const ServiceStatsSnapshot snap = reg.Snapshot();
+  constexpr double kCommits = kThreads * kPerThread;
+  EXPECT_EQ(snap.commits_append, static_cast<uint64_t>(kCommits));
+  EXPECT_DOUBLE_EQ(snap.commit_install_ms, 0.5 * kCommits);
+  EXPECT_DOUBLE_EQ(snap.commit_retire_ms, 0.25 * kCommits);
+  const double stages = snap.commit_journal_ms + snap.commit_data_ms +
+                        snap.commit_index_ms + snap.commit_header_ms +
+                        snap.commit_flip_ms + snap.commit_install_ms +
+                        snap.commit_retire_ms;
+  EXPECT_NEAR(stages, snap.commit_latency_hist.sum_ms, 1e-6);
+
+  const std::string text = StatsToText(snap);
+  EXPECT_NE(text.find("kvmatch_commit_stage_ms_total{stage=\"install\"} 500"),
+            std::string::npos);
+  EXPECT_NE(text.find("kvmatch_commit_stage_ms_total{stage=\"retire\"} 250"),
+            std::string::npos);
+
+  reg.Reset();
+  EXPECT_EQ(reg.Snapshot().commit_install_ms, 0.0);
+  EXPECT_EQ(reg.Snapshot().commit_retire_ms, 0.0);
+}
+
 TEST(StatsRegistryTest, ResetClearsCountersButKeepsLiveGauges) {
   StatsRegistry reg;
   reg.RecordQuery("a", 5.0, SomeMatchStats(1), true);

@@ -632,7 +632,7 @@ int CmdServeBench(const Args& args) {
     QueryRequest req;
     req.series = name;
     const size_t qoff = (1237 * i) % (per_series - qlen);
-    req.query = ExtractQuery((*session)->series(), qoff, qlen, 0.05, &rng);
+    req.query = ExtractQuery((*session)->series().values(), qoff, qlen, 0.05, &rng);
     req.params.type = i % 2 == 0 ? QueryType::kRsmEd : QueryType::kCnsmEd;
     req.params.epsilon = 3.0;
     req.params.alpha = 1.5;

@@ -25,15 +25,18 @@ echo "=== Forced-scalar dispatch: full ctest with KVMATCH_FORCE_SCALAR=1 ==="
 KVMATCH_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo
-echo "=== ThreadSanitizer: service/net/coord/ingest/executor/trace/event-log tests ==="
+echo "=== ThreadSanitizer: service/net/coord/ingest/session/stats/executor/trace/event-log tests ==="
 cmake -B build-tsan -S . -DKVMATCH_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$JOBS" \
-  --target service_test net_test coord_test ingest_test executor_test \
-           trace_test event_log_test storage_test simd_parity_test
+  --target service_test net_test coord_test ingest_test session_test \
+           stats_test executor_test trace_test event_log_test storage_test \
+           simd_parity_test
 ./build-tsan/service_test
 ./build-tsan/net_test
 ./build-tsan/coord_test
 ./build-tsan/ingest_test
+./build-tsan/session_test
+./build-tsan/stats_test
 ./build-tsan/executor_test
 ./build-tsan/trace_test
 ./build-tsan/event_log_test
@@ -41,18 +44,20 @@ cmake --build build-tsan -j "$JOBS" \
 ./build-tsan/simd_parity_test
 
 echo
-echo "=== ASan+UBSan: storage/service/net/coord/ingest/executor + crash replay ==="
+echo "=== ASan+UBSan: storage/service/net/coord/ingest/session/stats/executor + crash replay ==="
 cmake -B build-asan -S . -DKVMATCH_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$JOBS" \
   --target storage_test service_test net_test coord_test ingest_test \
-           executor_test trace_test event_log_test fault_kvstore_test \
-           simd_parity_test
+           session_test stats_test executor_test trace_test event_log_test \
+           fault_kvstore_test simd_parity_test
 ./build-asan/storage_test
 ./build-asan/event_log_test
 ./build-asan/service_test
 ./build-asan/net_test
 ./build-asan/coord_test
 ./build-asan/ingest_test
+./build-asan/session_test
+./build-asan/stats_test
 ./build-asan/executor_test
 ./build-asan/trace_test
 ./build-asan/fault_kvstore_test
